@@ -9,7 +9,7 @@ over the default targets) twice against a fresh cache directory:
   is linked from cached summaries.
 
 A second, smaller **numeric** round lints just ``src/repro/simulation``
-(per-file pass only): the numeric kernel analyzer (NUM001–NUM004 fact
+(per-file pass only): the numeric kernel analyzer (NUM001–NUM003 fact
 extraction) runs during summarisation on every parse, so this round
 tracks what it adds to a cold parse of the package that owns the
 kernels — and that a warm run replays the facts without re-parsing.

@@ -58,24 +58,11 @@ def _dense_problem(num_flows: int, seed: int = 7):
 
 
 def test_perf_allocate_dense_large(benchmark):
-    """The engine's actual hot call: dense core + reused workspace (no
+    """The oracle engine's hot call: dense core + reused workspace (no
     interning, no per-call array allocation — what a reallocation costs)."""
     pairs, caps = _dense_problem(2000)
     workspace = AllocatorWorkspace(len(caps))
     rates = benchmark(allocate_dense, pairs, caps, workspace)
-    assert len(rates) == 2000
-
-
-def test_perf_allocate_dense_single_component(benchmark):
-    """One dense component through the ``assume_connected`` fast path —
-    the shape the incremental engine feeds per dirty component."""
-    pairs, caps = _dense_problem(2000)
-    workspace = AllocatorWorkspace(len(caps))
-
-    def solve():
-        return allocate_dense(pairs, caps, workspace, assume_connected=True)
-
-    rates = benchmark(solve)
     assert len(rates) == 2000
 
 
@@ -122,23 +109,16 @@ def test_perf_waterfill_large(benchmark):
     assert rates.shape[0] == 2000
 
 
-@pytest.mark.parametrize("backend", ["oracle", "incremental", "vectorized"])
+@pytest.mark.parametrize("backend", ["oracle", "vectorized"])
 def test_perf_reallocation_backend(benchmark, backend):
-    """One full reallocation of the 2000-flow instance per backend, in
-    exactly the shape each engine mode feeds its allocator: the oracle
-    re-interns from dicts, the incremental solves the dense pre-interned
-    problem with a reused workspace, the vectorized one runs the batched
-    kernel over the packed matrix.  All three produce bit-identical
-    rates; the spread between their rounds is the engine-mode tradeoff
-    quantified in docs/simulator.md."""
+    """One full reallocation of the 2000-flow instance per backend: the
+    oracle re-interns from dicts and runs the scalar solver, the
+    vectorized one runs the batched kernel over the packed matrix.  Both
+    produce bit-identical rates; the spread between their rounds is the
+    engine-mode tradeoff quantified in docs/simulator.md."""
     if backend == "oracle":
         flow_segments, capacities = _allocation_problem(2000)
         rates = benchmark(max_min_rates, flow_segments, capacities)
-        assert len(rates) == 2000
-    elif backend == "incremental":
-        pairs, caps = _dense_problem(2000)
-        workspace = AllocatorWorkspace(len(caps))
-        rates = benchmark(allocate_dense, pairs, caps, workspace)
         assert len(rates) == 2000
     else:
         matrix, caps, workspace, incidence = _columnar_problem(2000)

@@ -63,7 +63,7 @@ from .engine import (
     iter_source_files,
     lint_paths,
 )
-from .numeric import KernelCall, NumericIssue, NumericSummary, analyze_kernels
+from .numeric import NumericIssue, NumericSummary, analyze_kernels
 from .project import ProjectModel
 from .registry import (
     ProjectRule,
@@ -98,7 +98,6 @@ __all__ = [
     "Diagnostic",
     "FileContext",
     "InterferenceEngine",
-    "KernelCall",
     "LintCache",
     "LintResult",
     "LintStats",

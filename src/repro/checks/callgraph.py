@@ -189,7 +189,6 @@ class FunctionSummary:
     is_async: bool = False
     #: Present only for ``async def`` — the concurrency-rule facts.
     concurrency: ConcurrencySummary | None = None
-    is_kernel: bool = False
     #: Present only for ``@kernel`` functions — the numeric-rule facts.
     numeric: NumericSummary | None = None
 
@@ -214,7 +213,6 @@ class FunctionSummary:
             "concurrency": (
                 None if self.concurrency is None else self.concurrency.to_json()
             ),
-            "is_kernel": self.is_kernel,
             "numeric": (
                 None if self.numeric is None else self.numeric.to_json()
             ),
@@ -261,7 +259,6 @@ class FunctionSummary:
                 if raw_concurrency is None
                 else ConcurrencySummary.from_json(_d(raw_concurrency))
             ),
-            is_kernel=bool(data.get("is_kernel", False)),
             numeric=(
                 None
                 if raw_numeric is None
@@ -727,7 +724,6 @@ def _summarize_function(
         mutates_circuit=mutates_circuit,
         is_async=is_async,
         concurrency=concurrency,
-        is_kernel=numeric is not None,
         numeric=numeric,
     )
 

@@ -1,15 +1,13 @@
-"""Abstract interpretation of ``@kernel`` numeric code (NUM001–NUM004).
+"""Abstract interpretation of ``@kernel`` numeric code (NUM001–NUM003).
 
 The vectorized water-fill core (:mod:`repro.simulation.columnar`) is the
-engine's hottest path and the designated numba target (ROADMAP item 1).
-Its correctness claims are *numeric*: every array keeps the dtype the
-bit-identity proof assumes, every broadcast is intentional, no in-place
-pass mutates data another view of the same buffer later observes, and
-the whole kernel stays inside the ``nopython`` subset so the JIT swap
-is a no-op.  None of those properties is visible to a general linter;
-this module checks them statically, the same extract-then-judge way the
-concurrency analyzer (:mod:`repro.checks.concurrency`) polices the
-event loop.
+engine's hottest path.  Its correctness claims are *numeric*: every
+array keeps the dtype the bit-identity proof assumes, every broadcast
+is intentional, and no in-place pass mutates data another view of the
+same buffer later observes.  None of those properties is visible to a
+general linter; this module checks them statically, the same
+extract-then-judge way the concurrency analyzer
+(:mod:`repro.checks.concurrency`) polices the event loop.
 
 **Extraction.**  :func:`analyze_kernels` finds every function in a file
 decorated with the ``@kernel`` registry decorator
@@ -34,14 +32,11 @@ say) are not over-trusted.  Anything the interpreter cannot model
 decays to unknown — unknowns never produce findings, so the analysis
 is conservative in the no-false-positives direction.
 
-**Findings** are :class:`NumericIssue` records (plus
-:class:`KernelCall` records for calls only the whole-program model can
-classify), carried on ``FunctionSummary.numeric`` and JSON
-round-tripped through the incremental lint cache — a warm run replays
-them without re-parsing.  The NUM001–NUM004 project rules
-(:mod:`repro.checks.rules.numeric`) turn them into diagnostics and use
-the :class:`~repro.checks.project.ProjectModel` call graph to decide
-whether a cross-module helper call stays inside the kernel universe.
+**Findings** are :class:`NumericIssue` records, carried on
+``FunctionSummary.numeric`` and JSON round-tripped through the
+incremental lint cache — a warm run replays them without re-parsing.
+The NUM001–NUM003 project rules (:mod:`repro.checks.rules.numeric`)
+turn them into diagnostics.
 """
 
 from __future__ import annotations
@@ -55,7 +50,6 @@ from .context import FileContext
 
 __all__ = [
     "NumericIssue",
-    "KernelCall",
     "NumericSummary",
     "ParsedKernelSpec",
     "collect_kernel_specs",
@@ -73,49 +67,6 @@ Shape = Union[tuple[Dim, ...], None]
 #: registry decorator".
 _KERNEL_DECORATORS = frozenset(
     {"repro.simulation.kernels.kernel", "repro.simulation.kernel"}
-)
-
-#: Builtins a ``nopython`` kernel may call freely.
-_SAFE_BUILTINS = frozenset(
-    {
-        "range",
-        "len",
-        "enumerate",
-        "zip",
-        "abs",
-        "min",
-        "max",
-        "int",
-        "float",
-        "bool",
-        "round",
-        "divmod",
-    }
-)
-
-#: Method names a kernel may call on its array/list/scalar values.
-_SAFE_METHODS = frozenset(
-    {
-        "copy",
-        "ravel",
-        "reshape",
-        "astype",
-        "fill",
-        "item",
-        "sum",
-        "min",
-        "max",
-        "any",
-        "all",
-        "argmin",
-        "argmax",
-        "nonzero",
-        "append",
-        "pop",
-        "clear",
-        "extend",
-        "sort",
-    }
 )
 
 #: Known numpy dtype spellings, canonicalised.
@@ -165,7 +116,7 @@ _DIM_RE = re.compile(r"^([A-Za-z_]\w*)\s*(?:([+-])\s*(\d+))?$")
 class NumericIssue:
     """One extraction-time finding inside a kernel body."""
 
-    kind: str  #: ``narrowing`` | ``shape`` | ``alias`` | ``nopython``
+    kind: str  #: ``narrowing`` | ``shape`` | ``alias``
     lineno: int
     col: int
     detail: str
@@ -189,39 +140,13 @@ class NumericIssue:
 
 
 @dataclass(frozen=True)
-class KernelCall:
-    """A call only the whole-program model can classify (NUM004)."""
-
-    ref: str  #: an ``abs:…`` call reference into project code
-    lineno: int
-    col: int
-
-    def to_json(self) -> dict[str, object]:
-        return {"ref": self.ref, "lineno": self.lineno, "col": self.col}
-
-    @classmethod
-    def from_json(cls, data: dict[str, object]) -> "KernelCall":
-        return cls(
-            ref=str(data["ref"]),
-            lineno=_int(data["lineno"]),
-            col=_int(data["col"]),
-        )
-
-
-@dataclass(frozen=True)
 class NumericSummary:
     """Everything the NUM rules know about one kernel function."""
 
     issues: tuple[NumericIssue, ...] = ()
-    unresolved_calls: tuple[KernelCall, ...] = ()
 
     def to_json(self) -> dict[str, object]:
-        return {
-            "issues": [issue.to_json() for issue in self.issues],
-            "unresolved_calls": [
-                call.to_json() for call in self.unresolved_calls
-            ],
-        }
+        return {"issues": [issue.to_json() for issue in self.issues]}
 
     @classmethod
     def from_json(cls, data: dict[str, object]) -> "NumericSummary":
@@ -229,11 +154,7 @@ class NumericSummary:
             issues=tuple(
                 NumericIssue.from_json(_dict(issue))
                 for issue in _list(data["issues"])
-            ),
-            unresolved_calls=tuple(
-                KernelCall.from_json(_dict(call))
-                for call in _list(data["unresolved_calls"])
-            ),
+            )
         )
 
 
@@ -568,150 +489,6 @@ def _constant_scalar(node: ast.expr) -> ScalarVal | None:
             return ScalarVal(inner.dtype, -inner.dim)
         return inner
     return None
-
-
-def _toplevel_defs(tree: ast.Module) -> tuple[frozenset[str], frozenset[str]]:
-    functions: set[str] = set()
-    classes: set[str] = set()
-    for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            functions.add(stmt.name)
-        elif isinstance(stmt, ast.ClassDef):
-            classes.add(stmt.name)
-    return frozenset(functions), frozenset(classes)
-
-
-# ----------------------------------------------------------------------
-# nopython-subset scan (NUM004 extraction half)
-# ----------------------------------------------------------------------
-
-
-_FlagFn = Callable[[ast.AST, str], None]
-
-
-def _nopython_scan(
-    ctx: FileContext,
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
-    local_kernels: Mapping[str, ParsedKernelSpec],
-) -> tuple[list[NumericIssue], list[KernelCall]]:
-    issues: list[NumericIssue] = []
-    unresolved: list[KernelCall] = []
-    functions, classes = _toplevel_defs(ctx.tree)
-
-    raise_calls: set[int] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
-            raise_calls.add(id(node.exc))
-
-    def flag(node: ast.AST, detail: str) -> None:
-        issues.append(
-            NumericIssue(
-                kind="nopython",
-                lineno=getattr(node, "lineno", fn.lineno),
-                col=getattr(node, "col_offset", 0) + 1,
-                detail=detail,
-            )
-        )
-
-    # Scan only the *body*: the decorator list (the @kernel spec itself,
-    # a dict display) and argument defaults run at module import time,
-    # outside the compiled region.
-    stack: list[ast.AST] = list(fn.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            flag(node, "closure/nested function (no closures in nopython)")
-            continue  # do not descend into the nested scope
-        elif isinstance(node, (ast.Dict, ast.DictComp, ast.Set, ast.SetComp)):
-            flag(node, "builds a dict or set (boxed objects)")
-        elif isinstance(node, ast.List):
-            for element in node.elts:
-                if isinstance(
-                    element,
-                    (ast.List, ast.Tuple, ast.Dict, ast.Set, ast.ListComp),
-                ):
-                    flag(node, "list of container objects")
-                    break
-        elif isinstance(node, ast.ListComp):
-            if isinstance(
-                node.elt,
-                (ast.List, ast.Tuple, ast.Dict, ast.Set, ast.ListComp),
-            ):
-                flag(node, "comprehension building container elements")
-        elif isinstance(node, ast.Try):
-            flag(node, "try/except (exception unwinding is object-mode)")
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            flag(node, "context manager (object protocol)")
-        elif isinstance(node, (ast.Yield, ast.YieldFrom, ast.Await)):
-            flag(node, "generator/async construct")
-        elif isinstance(node, (ast.Global, ast.Nonlocal)):
-            flag(node, "rebinds module/enclosing state")
-        elif isinstance(node, ast.Call):
-            if any(isinstance(arg, ast.Starred) for arg in node.args) or any(
-                keyword.arg is None for keyword in node.keywords
-            ):
-                flag(node, "dynamic argument unpacking")
-            if id(node) not in raise_calls:
-                _classify_call(
-                    ctx,
-                    node,
-                    fn.name,
-                    local_kernels,
-                    functions,
-                    classes,
-                    flag,
-                    unresolved,
-                )
-        stack.extend(ast.iter_child_nodes(node))
-    return issues, unresolved
-
-
-def _classify_call(
-    ctx: FileContext,
-    node: ast.Call,
-    fn_name: str,
-    local_kernels: Mapping[str, ParsedKernelSpec],
-    functions: frozenset[str],
-    classes: frozenset[str],
-    flag: "_FlagFn",
-    unresolved: list[KernelCall],
-) -> None:
-    resolved = ctx.resolve(node.func)
-    if resolved is not None:
-        head = resolved.split(".", 1)[0]
-        if head in ("numpy", "math"):
-            return
-        if head == "repro":
-            unresolved.append(
-                KernelCall(
-                    ref=f"abs:{resolved}",
-                    lineno=node.lineno,
-                    col=node.col_offset + 1,
-                )
-            )
-            return
-        flag(node, f"calls {resolved} (outside the nopython universe)")
-        return
-    if isinstance(node.func, ast.Name):
-        name = node.func.id
-        if name in _SAFE_BUILTINS or name == fn_name:
-            return
-        if name in local_kernels:
-            return
-        if name in functions:
-            flag(node, f"calls non-kernel helper {name}()")
-        elif name in classes:
-            flag(node, f"instantiates class {name} (boxed object)")
-        else:
-            flag(node, f"untyped Python call through {name}")
-        return
-    if isinstance(node.func, ast.Attribute):
-        if node.func.attr not in _SAFE_METHODS:
-            flag(node, f"calls unsupported method .{node.func.attr}()")
-        return
-    flag(node, "call through a computed expression")
 
 
 # ----------------------------------------------------------------------
@@ -1780,10 +1557,9 @@ def analyze_kernels(ctx: FileContext) -> dict[str, NumericSummary]:
         spec = specs.get(stmt.name)
         if spec is None:
             continue
-        nopython, unresolved = _nopython_scan(ctx, stmt, specs)
         interpreter = _KernelInterpreter(ctx, stmt, spec, specs, consts)
         issues = sorted(
-            set(nopython) | set(interpreter.run()),
+            interpreter.run(),
             key=lambda issue: (
                 issue.lineno,
                 issue.col,
@@ -1791,15 +1567,7 @@ def analyze_kernels(ctx: FileContext) -> dict[str, NumericSummary]:
                 issue.detail,
             ),
         )
-        summaries[stmt.name] = NumericSummary(
-            issues=tuple(issues),
-            unresolved_calls=tuple(
-                sorted(
-                    set(unresolved),
-                    key=lambda call: (call.lineno, call.col, call.ref),
-                )
-            ),
-        )
+        summaries[stmt.name] = NumericSummary(issues=tuple(issues))
     return summaries
 
 

@@ -25,8 +25,7 @@
   dead exports (DEAD001);
 * :mod:`.numeric` — numeric contracts of the ``@kernel`` water-fill
   core: silent dtype narrowing (NUM001), shape incompatibility
-  (NUM002), aliasing hazards on in-place passes (NUM003), constructs
-  outside the numba nopython subset (NUM004).
+  (NUM002), aliasing hazards on in-place passes (NUM003).
 
 Importing a module registers its rules as a side effect of the
 ``@register`` / ``@register_project`` decorators.  A module listed in

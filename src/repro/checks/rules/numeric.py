@@ -1,13 +1,12 @@
-"""Numeric contracts of the water-fill kernels (NUM001–NUM004).
+"""Numeric contracts of the water-fill kernels (NUM001–NUM003).
 
 The vectorized allocator (:mod:`repro.simulation.columnar`) must stay
 *bit-identical* to the scalar reference solver
 (:mod:`repro.simulation.fairshare`) — that equivalence is the engine's
-whole correctness argument — and ROADMAP item 1 additionally reserves
-it for ``numba.njit`` compilation behind the ``[speed]`` extra.  Both
-claims are numeric, not syntactic, so a general linter cannot see them
-break.  These rules judge the facts the abstract interpreter
-(:mod:`repro.checks.numeric`) extracts per ``@kernel`` function:
+whole correctness argument.  The claim is numeric, not syntactic, so a
+general linter cannot see it break.  These rules judge the facts the
+abstract interpreter (:mod:`repro.checks.numeric`) extracts per
+``@kernel`` function:
 
 * **NUM001** — a value provably narrows on the way into an array:
   float results stored into integer buffers, ``float64`` into
@@ -23,16 +22,8 @@ break.  These rules judge the facts the abstract interpreter
   the same pass observes through a *different* view — the classic
   "workspace reused while still borrowed" bug that only manifests at
   sizes where views overlap.
-* **NUM004** — a construct outside the ``nopython`` subset inside a
-  ``@kernel`` function: dicts/sets, try/except, closures, untyped
-  Python calls.  Calls into project code are resolved against the
-  whole-program call graph — calling another ``@kernel`` is fine,
-  calling anything else boxes objects and forces an object-mode
-  fallback the day the JIT lands.
 
-The first three are pure replays of cached per-file facts; NUM004 is
-the one judgement that needs the :class:`ProjectModel`, to classify
-cross-module calls.
+All three are pure replays of cached per-file facts.
 """
 
 from __future__ import annotations
@@ -52,7 +43,6 @@ __all__ = [
     "KernelDtypeNarrowing",
     "KernelShapeMismatch",
     "KernelAliasingHazard",
-    "KernelNopythonUnsafe",
 ]
 
 #: The numeric core these rules police.  Kernels registered elsewhere
@@ -138,59 +128,8 @@ class KernelAliasingHazard(_IssueRule):
     rationale = (
         "An in-place write (out=, +=, .fill) into a buffer that a "
         "later read observes through a different view makes the pass "
-        "order-dependent: results change with numpy's traversal order "
-        "and with the JIT's. Copy before mutating, or write to a "
-        "buffer nothing else borrows."
+        "order-dependent: results change with numpy's traversal order. "
+        "Copy before mutating, or write to a buffer nothing else "
+        "borrows."
     )
     scope = _NUMERIC_SCOPE
-
-
-@register_project
-class KernelNopythonUnsafe(_IssueRule):
-    """NUM004: construct outside the nopython subset in a @kernel."""
-
-    code = "NUM004"
-    name = "kernel-nopython-unsafe"
-    kind = "nopython"
-    rationale = (
-        "@kernel marks a function as a numba nopython candidate "
-        "(ROADMAP item 1): dicts, try/except, closures, and untyped "
-        "Python calls all force an object-mode fallback, which is "
-        "slower than the interpreter and lands the day the [speed] "
-        "extra ships. Keep kernels on arrays, scalars, and other "
-        "kernels."
-    )
-    scope = _NUMERIC_SCOPE
-
-    def check(self, model: "ProjectModel") -> Iterator[Diagnostic]:
-        yield from super().check(model)
-        for key, summary in _kernel_items(model):
-            for call in summary.unresolved_calls:
-                if self._calls_kernel(model, key, call.ref):
-                    continue
-                path, line, col = _location(
-                    model, key, call.lineno, call.col
-                )
-                target = call.ref.split(":", 1)[1]
-                yield self.diagnostic(
-                    path,
-                    line,
-                    col,
-                    f"kernel {key[1]} calls {target}, which is not a "
-                    "@kernel function: the call boxes its arguments and "
-                    "forces object mode — register the helper with "
-                    "@kernel or inline it",
-                )
-
-    @staticmethod
-    def _calls_kernel(
-        model: "ProjectModel", caller: "FunctionKey", ref: str
-    ) -> bool:
-        candidates = model.resolve_ref(caller[0], ref)
-        if not candidates:
-            # Outside the modelled universe (e.g. a module the corpus
-            # does not cover): stay conservative, no diagnostic.
-            return True
-        return any(
-            model.functions[candidate].is_kernel for candidate in candidates
-        )

@@ -1,13 +1,14 @@
 """Hot-path performance invariants in the fluid engine.
 
-The engine's event loop is *incremental* (``docs/simulator.md``): after
-an event, rate recomputation is confined to the dirty conflict-graph
-components, completions come off a projected-finish heap, and flow
+The engine's per-event Python work is proportional to the flows an
+event changed (``docs/simulator.md``): the columnar flow table is
+patched row by row for arrivals and completions, only re-rated flows
+are settled, completions come off a projected-finish heap, and flow
 residuals are settled lazily.  The cheapest way to lose all of that is
-a helper that quietly sweeps ``self.active`` on every event — exactly
-the O(active)-per-event pattern the incremental overhaul removed.  This
-rule bans such sweeps inside :class:`FluidSimulation`, except in the
-small audited set of helpers whose *job* is the full view.
+a helper that quietly sweeps ``self.active`` on every event — the
+O(active)-per-event Python pattern.  This rule bans such sweeps inside
+:class:`FluidSimulation`, except in the small audited set of helpers
+whose *job* is the full view.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ class FullActiveSweep(Rule):
     code = "PERF001"
     name = "full-active-sweep"
     rationale = (
-        "The fluid engine recomputes rates only for dirty conflict "
-        "components; a loop over self.active inside FluidSimulation "
-        "reintroduces the O(active)-per-event scans the incremental "
-        "allocator removed, silently regressing trace-scale replays."
+        "The fluid engine keeps per-event Python work proportional to "
+        "the flows an event changed; a loop over self.active inside "
+        "FluidSimulation adds an O(active) Python scan to every event, "
+        "silently regressing trace-scale replays."
     )
     scope = ("repro.simulation",)
 
@@ -76,8 +77,9 @@ class FullActiveSweep(Rule):
                     ctx,
                     target,
                     f"iteration over self.active in FluidSimulation."
-                    f"{func.name}(); per-event work must stay within the "
-                    "dirty conflict components (sanctioned full sweeps: "
+                    f"{func.name}(); per-event Python work must stay "
+                    "proportional to the changed flows (sanctioned full "
+                    "sweeps: "
                     f"{', '.join(sorted(_SANCTIONED))})",
                 )
 

@@ -5,7 +5,6 @@ the substrate of the paper's failure study (Figure 1) and of the
 ShareBackup-vs-rerouting comparisons.
 """
 
-from .conflict import ConflictGraph
 from .engine import (
     DEFAULT_ALLOCATOR,
     ENGINE_REV,
@@ -22,7 +21,6 @@ from .monitor import SimMonitor, UtilizationMonitor, UtilizationReport
 from .packetsim import PacketFlow, PacketLevelSimulator
 
 __all__ = [
-    "ConflictGraph",
     "CoflowRecord",
     "CoflowSpec",
     "DEFAULT_ALLOCATOR",

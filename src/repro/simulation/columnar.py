@@ -1,11 +1,10 @@
-"""Structure-of-arrays core for the vectorized fluid-engine backend.
+"""Structure-of-arrays core of the fluid engine's allocator.
 
-The incremental backend (PR 4) removed the per-event sweeps but still
-pays Python prices per flow: every reallocation builds ``(key, path)``
-pair lists, walks a heap, and boxes every rate.  At warehouse scale
-(k=32/48 fat-trees, hundreds of concurrent flows per event) those
-constants dominate.  This module keeps the *allocation problem itself*
-resident as numpy arrays between events:
+A scalar allocator pays Python prices per flow: every reallocation
+builds ``(key, path)`` pair lists and boxes every rate, and at
+warehouse scale (k=32/48 fat-trees, hundreds of concurrent flows per
+event) those constants dominate.  This module keeps the *allocation
+problem itself* resident as numpy arrays between events:
 
 ``FlowTable``
     The persistent problem: one row per allocatable flow, in arrival
@@ -181,16 +180,16 @@ def _waterfill_passes(
     share: np.ndarray,
     rates: np.ndarray,
 ) -> None:
-    """The ripe-pass loop over plain arrays — the JIT-candidate kernel.
+    """The ripe-pass loop over plain arrays.
 
     ``remaining``/``counts`` arrive initialised (sentinel slot last,
     dead counts already clamped); ``share`` is scratch and ``rates`` is
     filled in place, one slot per row.  Everything object-shaped —
     workspace management, compaction, incidence bookkeeping — stays in
     :func:`waterfill`; this function touches nothing but the arrays it
-    is handed, which is what the ``@kernel`` contract (checked by
-    NUM001–NUM004, :mod:`repro.checks.numeric`) demands of a
-    ``nopython`` candidate.
+    is handed, so its declared ``@kernel`` contract (checked by
+    NUM001–NUM003, :mod:`repro.checks.numeric`) covers all of its
+    state.
     """
     rows, width = seg_matrix.shape
     num_segments = remaining.shape[0] - 1
@@ -253,13 +252,7 @@ def _column_min(matrix: np.ndarray) -> np.ndarray:
     returns=("bool", ("rows",)),
 )
 def _column_any(matrix: np.ndarray) -> np.ndarray:
-    """Column-unrolled row logical-or, same unroll as :func:`_column_min`.
-
-    Specialised per ufunc (rather than taking the ufunc as a parameter)
-    so each kernel's call graph is closed over numpy and other kernels —
-    a call through a function-valued argument is exactly the untyped
-    dispatch NUM004 exists to keep out of ``nopython`` candidates.
-    """
+    """Column-unrolled row logical-or, same unroll as :func:`_column_min`."""
     out = matrix[:, 0].copy()
     for column in range(1, matrix.shape[1]):
         np.logical_or(out, matrix[:, column], out=out)

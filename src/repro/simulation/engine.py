@@ -18,30 +18,24 @@ piecewise-constant rates they are computed, never scheduled, so no stale
 completion events can exist.
 
 Hot-path design (see ``docs/simulator.md`` for the full story): the
-engine is *incremental*.  Segments are interned to dense integer ids
-once at construction; a persistent flow↔segment conflict graph
-(:class:`~repro.simulation.conflict.ConflictGraph`) tracks which flows
-share bandwidth; each event re-solves max-min rates only for the
-connected components containing changed flows, copying every other
-flow's rate forward untouched.  Completions come off a lazy
-projected-finish min-heap, and per-flow ``(updated_at, remaining_bits)``
-bookkeeping means a flow's residual is only materialised when its rate
-changes — there is no per-event sweep over the active set.  The
-from-scratch solver is retained as the *oracle* (``allocator="oracle"``)
-and the two modes produce bit-identical results, which the test suite
+allocation problem stays resident as numpy arrays
+(:mod:`repro.simulation.columnar`).  Segments are interned to dense
+integer ids once at construction; arrivals append rows to a columnar
+flow table, completions compact them out, topology changes rebuild it,
+and every reallocation is one batched water-fill over the whole padded
+path matrix.  Only flows whose rate actually changed are touched.
+Completions come off a lazy projected-finish min-heap, and per-flow
+``(updated_at, remaining_bits)`` bookkeeping means a flow's residual is
+only materialised when its rate changes — there is no per-event sweep
+over the active set.
+
+The scalar from-scratch solver is retained as the *oracle*
+(``allocator="oracle"``).  The batched solve reproduces it bit-for-bit
+by construction (shared ripe-pass semantics), so records and monitor
+streams match to the last bit, which ``tests/test_engine_incremental.py``
 enforces.  :data:`ENGINE_REV` names the revision of this machinery; the
 sweep-result cache folds it into every key so cached numbers can never
 outlive the allocator that produced them.
-
-A third backend (``allocator="vectorized"``) keeps the allocation
-problem resident as numpy arrays (:mod:`repro.simulation.columnar`):
-arrivals append rows, completions compact them out, topology changes
-rebuild, and every reallocation is one batched water-fill over the
-whole padded path matrix.  The solve is bit-identical to the scalar
-solver by construction (shared ripe-pass semantics), and only flows
-whose rate actually changed are touched, so records and monitor
-streams match the other two backends to the last bit — the three-way
-A/B harness in ``tests/test_engine_incremental.py`` enforces it.
 """
 
 from __future__ import annotations
@@ -52,10 +46,12 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from ..routing.paths import DirectedSegment
 from ..routing.router import Router
 from ..topology.base import Topology
-from .conflict import ConflictGraph
+from .columnar import ColumnarWorkspace, FlowTable, waterfill
 from .events import EventQueue, SimClock
 from .fairshare import AllocatorWorkspace, FairShareError, allocate_dense
 from .flow import CoflowSpec, FlowPhase, FlowSpec, FlowState
@@ -75,13 +71,12 @@ __all__ = [
 ENGINE_REV = 3
 
 #: Allocator mode used when :class:`FluidSimulation` is not told one.
-#: "incremental" re-solves only dirty conflict components; "oracle" is
-#: the from-scratch reference; "vectorized" solves the full problem as
-#: one batched numpy water-fill over a persistent columnar flow table.
-#: All three are bit-identical by construction.
-DEFAULT_ALLOCATOR = "incremental"
+#: "vectorized" solves the full problem as one batched numpy water-fill
+#: over a persistent columnar flow table; "oracle" is the from-scratch
+#: scalar reference.  The two are bit-identical by construction.
+DEFAULT_ALLOCATOR = "vectorized"
 
-_ALLOCATORS = ("incremental", "oracle", "vectorized")
+_ALLOCATORS = ("vectorized", "oracle")
 
 #: A flow is done when fewer bits than this remain (≈ one-millionth of a bit).
 _COMPLETION_EPS = 1e-6
@@ -171,12 +166,10 @@ class FluidSimulation:
         trace: coflows to replay, in any order (arrivals are scheduled).
         horizon: optional wall-clock cut-off in simulated seconds; flows
             still running then are reported unfinished.
-        allocator: "incremental" (default, via :data:`DEFAULT_ALLOCATOR`)
-            re-solves only the conflict-graph components an event
-            touched; "oracle" recomputes the full allocation from
-            scratch; "vectorized" batch-solves a persistent columnar
-            flow table with numpy.  Results are bit-identical in all
-            three modes.
+        allocator: "vectorized" (default, via :data:`DEFAULT_ALLOCATOR`)
+            batch-solves a persistent columnar flow table with numpy;
+            "oracle" recomputes the full allocation from scratch with
+            the scalar solver.  Results are bit-identical in both modes.
     """
 
     def __init__(
@@ -217,27 +210,18 @@ class FluidSimulation:
         for seg, cap in self._capacities.items():
             self._seg_id[seg] = len(self._caps_dense)
             self._caps_dense.append(cap)
-        self._conflicts = ConflictGraph(len(self._caps_dense))
-        self._alloc_ws = AllocatorWorkspace(len(self._caps_dense))
-        if self.allocator == "vectorized":
-            # Deferred import: the scalar backends never pay numpy's
-            # startup cost, and environments without numpy can still
-            # run them.
-            from . import columnar
-
-            self._columnar = columnar
-            self._table = columnar.FlowTable(len(self._caps_dense))
-            self._columnar_ws = columnar.ColumnarWorkspace(len(self._caps_dense))
-            self._caps_arr = columnar.np.asarray(
-                self._caps_dense, dtype=columnar.np.float64
-            )
+        if self.allocator == "oracle":
+            self._alloc_ws = AllocatorWorkspace(len(self._caps_dense))
+        else:
+            self._table = FlowTable(len(self._caps_dense))
+            self._columnar_ws = ColumnarWorkspace(len(self._caps_dense))
+            self._caps_arr = np.asarray(self._caps_dense, dtype=np.float64)
         #: Vectorized mode: the flow table no longer reflects the active
         #: set (paths or stall states changed) and must be rebuilt.
         self._table_stale = True
-        #: Flows whose allocation inputs changed since the last solve,
-        #: mapped to the segment ids they were registered on at the time
-        #: (the seeds for the affected-component search).
-        self._dirty: dict[int, tuple[int, ...]] = {}
+        #: Flows whose allocation inputs changed since the last solve, as
+        #: an insertion-ordered set (dict keys) of flow ids.
+        self._dirty: dict[int, None] = {}
         #: Lazy projected-finish min-heap of (finish_time, flow_id, gen);
         #: entries whose gen no longer matches the flow's are stale.
         self._finish_heap: list[tuple[float, int, int]] = []
@@ -430,11 +414,9 @@ class FluidSimulation:
     # ------------------------------------------------------------------
 
     def _mark_dirty(self, fid: int) -> None:
-        """Record that ``fid``'s allocation inputs changed, remembering
-        the segments it was registered on (old *and* new placements seed
-        the affected-component search)."""
-        if fid not in self._dirty:
-            self._dirty[fid] = self._conflicts.segments_of(fid)
+        """Record that ``fid``'s allocation inputs changed (arrival,
+        completion, re-path, stall or resume) since the last solve."""
+        self._dirty[fid] = None
 
     def _dense_path(self, segments: tuple[DirectedSegment, ...]) -> tuple[int, ...]:
         seg_id = self._seg_id
@@ -448,10 +430,8 @@ class FluidSimulation:
     def _reallocate(self) -> None:
         if self.allocator == "oracle":
             self._reallocate_oracle()
-        elif self.allocator == "vectorized":
-            self._reallocate_vectorized()
         else:
-            self._reallocate_incremental()
+            self._reallocate_vectorized()
         self._reallocations += 1
         if self.monitor is not None:
             self._notify_monitor()
@@ -473,35 +453,6 @@ class FluidSimulation:
         for fid, state in self.active.items():
             self._apply_rate(state, rates.get(fid, 0.0), now)
 
-    def _reallocate_incremental(self) -> None:
-        """Re-solve only the conflict components containing dirty flows.
-
-        Untouched components keep their rates verbatim — progressive
-        filling is separable across components and the dense solver is
-        deterministic, so skipping them is bit-exact (the A/B tests in
-        ``tests/test_engine_incremental.py`` hold this to ``==``).
-        """
-        now = self.clock.now
-        seeds: list[int] = []
-        for fid, old_segs in self._dirty.items():
-            state = self.active.get(fid)
-            if state is not None and state.phase is FlowPhase.ACTIVE and state.ipath:
-                self._conflicts.place(fid, state.ipath)
-                seeds.extend(state.ipath)
-            else:
-                self._conflicts.remove(fid)
-            seeds.extend(old_segs)
-        self._dirty.clear()
-        active = self.active
-        for comp in self._conflicts.affected_components(seeds):
-            comp.sort(key=lambda fid: active[fid].seq)
-            pairs = [(fid, active[fid].ipath) for fid in comp]
-            rates = allocate_dense(
-                pairs, self._caps_dense, self._alloc_ws, assume_connected=True
-            )
-            for fid in comp:
-                self._apply_rate(active[fid], rates[fid], now)
-
     def _reallocate_vectorized(self) -> None:
         """Batch-solve the persistent columnar flow table.
 
@@ -513,7 +464,7 @@ class FluidSimulation:
         re-solved in one batched water-fill; untouched flows re-solve
         to the same bits (the kernel is deterministic and separable),
         so filtering on ``rates != installed`` applies exactly the same
-        rate changes, at the same instants, as the other backends.
+        rate changes, at the same instants, as the oracle.
         """
         now = self.clock.now
         table = self._table
@@ -542,8 +493,7 @@ class FluidSimulation:
                 table.append(fid, path)
         if not len(table):
             return
-        np = self._columnar.np
-        rates = self._columnar.waterfill(
+        rates = waterfill(
             table.seg_matrix, self._caps_arr, self._columnar_ws, table.incidence
         )
         installed = table.rates_view
@@ -589,9 +539,10 @@ class FluidSimulation:
     def _apply_rate(self, state: FlowState, rate: float, now: float) -> None:
         """Install a new rate iff it differs bit-for-bit from the old one,
         settling the flow's residual first so the piecewise-constant
-        integral stays exact.  The *iff* matters: both allocator modes
-        then settle the same flows at the same instants, which keeps
-        their floating-point trajectories identical."""
+        integral stays exact.  The *iff* matters: the oracle then settles
+        the same flows at the same instants as the vectorized backend's
+        changed-row filter, which keeps their floating-point trajectories
+        identical."""
         if rate != state.rate:
             state.settle(now)
             state.rate = rate
@@ -604,7 +555,7 @@ class FluidSimulation:
 
     def _notify_monitor(self) -> None:
         """Monitors always see the *full* rate map (monitor contract),
-        regardless of which components the allocator re-solved.
+        regardless of which flows the allocator re-rated.
 
         Sanctioned O(active) site (PERF001): only runs when a monitor is
         attached, and instrumentation wants the global view.

@@ -24,10 +24,8 @@ flow↔segment conflict graph (flows adjacent when their paths share a
 directed segment) is partitioned into connected components and each
 component is solved independently.  Progressive filling is separable —
 a bottleneck freeze in one component never touches capacity or counts
-in another — so the decomposition is exact, and it is what lets the
-engine recompute only the components an event touched
-(:mod:`repro.simulation.conflict`): solving a component alone produces
-*bit-identical* rates to solving it inside the full problem.
+in another — so the decomposition is exact: solving a component alone
+produces *bit-identical* rates to solving it inside the full problem.
 
 The core (:func:`allocate_dense`) works on dense integer ids: flows are
 positions in the input list, segments index a flat capacity array, and
@@ -127,8 +125,8 @@ def _solve_component(
     it alone is bit-identical to solving it inside the full problem.
     This is the same guarantee the vectorized kernel
     (:func:`repro.simulation.columnar.waterfill`) leans on: it solves
-    the full problem in one batch and must agree with the incremental
-    path's per-component solves to the last bit.
+    the full problem in one batch and must agree with these
+    per-component solves to the last bit.
     """
     live = comp_segs
     unfrozen = comp_flows
@@ -184,7 +182,6 @@ def allocate_dense(
     pairs: Sequence[tuple[Hashable, tuple[int, ...]]],
     capacities: Sequence[float],
     workspace: AllocatorWorkspace | None = None,
-    assume_connected: bool = False,
 ) -> dict[Hashable, float]:
     """Max-min rates for flows whose paths are dense integer segment ids.
 
@@ -192,20 +189,17 @@ def allocate_dense(
         pairs: ordered ``(key, path)`` items; each path is a tuple of
             indices into ``capacities``, with no duplicate segment
             within one path.  The order is significant: it fixes the
-            flow-freeze and heap tie order, hence the exact floats.
+            per-segment accumulation order of each ripe pass, hence the
+            exact floats.
         capacities: segment id → capacity in bits/s.
         workspace: optional reusable scratch (one per engine); a fresh
             one is allocated when omitted.
-        assume_connected: the caller asserts ``pairs`` form a single
-            conflict component (the engine's incremental path solves one
-            component at a time), skipping the partition pass.  The
-            rates are bit-identical either way.
 
     Returns:
         key → allocated rate (bits/s), in input order.
 
     The problem is split into conflict-graph components and each is
-    solved by :func:`_solve_component` with component-local heap state,
+    solved by :func:`_solve_component` over its own segments and flows,
     so any sub-slice of ``pairs`` that covers whole components yields
     rates bit-identical to solving the full problem.
     """
@@ -241,10 +235,39 @@ def allocate_dense(
         rates = [0.0] * nflows
         frozen = bytearray(nflows)
 
-        if assume_connected:
+        visited = bytearray(nflows)
+        for start in range(nflows):
+            if visited[start]:
+                continue
+            # Collect the component by BFS over shared segments, then
+            # sort it into problem order so per-component results
+            # match the full solve bit-for-bit.
+            visited[start] = 1
+            comp_flows = [start]
+            stack = [start]
+            while stack:
+                f = stack.pop()
+                for s in paths[f]:
+                    if seg_mark[s]:
+                        continue
+                    seg_mark[s] = 1
+                    for nf in members[s]:
+                        if not visited[nf]:
+                            visited[nf] = 1
+                            comp_flows.append(nf)
+                            stack.append(nf)
+            comp_flows.sort()
+            # The BFS left this component's segments marked; collect
+            # them in first-seen order (clearing the marks as we go).
+            comp_segs: list[int] = []
+            for f in comp_flows:
+                for s in paths[f]:
+                    if seg_mark[s]:
+                        seg_mark[s] = 0
+                        comp_segs.append(s)
             _solve_component(
-                used,
-                list(range(nflows)),
+                comp_segs,
+                comp_flows,
                 paths,
                 remaining,
                 counts,
@@ -254,49 +277,6 @@ def allocate_dense(
                 ws.tightcnt,
                 ws.delta,
             )
-        else:
-            visited = bytearray(nflows)
-            for start in range(nflows):
-                if visited[start]:
-                    continue
-                # Collect the component by BFS over shared segments, then
-                # sort it into problem order so per-component results
-                # match the full solve bit-for-bit.
-                visited[start] = 1
-                comp_flows = [start]
-                stack = [start]
-                while stack:
-                    f = stack.pop()
-                    for s in paths[f]:
-                        if seg_mark[s]:
-                            continue
-                        seg_mark[s] = 1
-                        for nf in members[s]:
-                            if not visited[nf]:
-                                visited[nf] = 1
-                                comp_flows.append(nf)
-                                stack.append(nf)
-                comp_flows.sort()
-                # The BFS left this component's segments marked; collect
-                # them in first-seen order (clearing the marks as we go).
-                comp_segs: list[int] = []
-                for f in comp_flows:
-                    for s in paths[f]:
-                        if seg_mark[s]:
-                            seg_mark[s] = 0
-                            comp_segs.append(s)
-                _solve_component(
-                    comp_segs,
-                    comp_flows,
-                    paths,
-                    remaining,
-                    counts,
-                    frozen,
-                    rates,
-                    ws.share,
-                    ws.tightcnt,
-                    ws.delta,
-                )
     finally:
         for s in used:
             members[s].clear()
@@ -311,10 +291,9 @@ def max_min_rates(
 ) -> dict[Hashable, float]:
     """Max-min fair rates for ``flow_segments`` under ``capacities``.
 
-    The reference ("oracle") entry point: validates its inputs, interns
-    segments to dense ids, and defers to :func:`allocate_dense` — the
-    same core the engine's incremental path uses, which is what makes
-    incremental-vs-oracle bit-identity hold by construction.
+    The public entry point: validates its inputs, interns segments to
+    dense ids, and defers to :func:`allocate_dense` — the same core the
+    engine's oracle allocator uses.
 
     Args:
         flow_segments: flow id → the directed segments its path crosses.

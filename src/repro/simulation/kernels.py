@@ -1,13 +1,12 @@
 """The ``@kernel`` registry: declared numeric contracts for hot loops.
 
-ROADMAP item 1 reserves the ``[speed]`` extra for a numba-compiled
-water-fill kernel.  Before that JIT lands, the repo needs a *static*
-definition of "kernel-safe": which functions are candidates for
-``nopython`` compilation, what arrays they take, and what dtypes and
-shapes those arrays carry.  This module is that contract's runtime
-half; the static half is :mod:`repro.checks.numeric`, which parses the
-decorator literally (no import, no execution) and abstractly interprets
-every registered kernel against its declared array specs.
+The water-fill kernels carry the engine's bit-identity claim, and that
+claim rests on numeric facts: which arrays each hot loop takes, and
+what dtypes and shapes those arrays carry.  This module is that
+contract's runtime half; the static half is
+:mod:`repro.checks.numeric`, which parses the decorator literally (no
+import, no execution) and abstractly interprets every registered
+kernel against its declared array specs.
 
 A kernel declares its arrays as ``name -> (dtype, dims)`` where each
 dim is either a symbolic name (``"rows"``) — optionally with a constant
@@ -26,8 +25,7 @@ across a kernel's arrays, so ``("rows", "width")`` against
 The decorator is deliberately inert at call time: it records the spec
 in :data:`KERNEL_REGISTRY`, stamps the function with
 ``__repro_kernel__``, and returns the function object unchanged — zero
-overhead on the hot path, and a single seam where the numba PR can
-later swap in ``numba.njit`` behind the ``[speed]`` extra.
+overhead on the hot path.
 
 The spec must be a *literal* (string/int/tuple/dict displays only): the
 lint pass reads it from the AST without importing the module, and a
@@ -69,8 +67,7 @@ class KernelSpec:
 
 #: ``module-level qualname -> spec`` for every registered kernel in the
 #: process.  The static analyzer never reads this (it parses decorator
-#: literals); it exists so tests and the future JIT wrapper can
-#: enumerate the kernel surface.
+#: literals); it exists so tests can enumerate the kernel surface.
 KERNEL_REGISTRY: dict[str, KernelSpec] = {}
 
 
@@ -78,13 +75,13 @@ def kernel(
     arrays: Mapping[str, ArraySpec] | None = None,
     returns: ArraySpec | None = None,
 ) -> Callable[[F], F]:
-    """Register a function as a JIT-candidate numeric kernel.
+    """Register a function as a numeric kernel.
 
     Args:
         arrays: array-parameter contracts, ``name -> (dtype, dims)``.
             Parameters not listed are treated as opaque scalars by the
             analyzer.  Non-array kernels (the scalar reference solver)
-            may omit this entirely — NUM004 still polices them.
+            may omit this entirely.
         returns: the returned array's contract, when one is returned.
 
     The wrapped function is returned unchanged; registration is the

@@ -9,11 +9,11 @@ hot spots, and concurrency (the quantity that bounds CCT slowdowns under
 max-min sharing — see EXPERIMENTS.md's Figure 1(c) discussion).
 
 The callback stream is part of the allocator backends' bit-identity
-contract: oracle, incremental, and vectorized engines must hand every
-monitor the same ``(now, flow_segments, rates)`` sequence, floats and
-all (``tests/test_engine_incremental.py`` captures and compares full
-streams three ways).  Monitors can therefore assume their statistics
-are backend-independent.
+contract: the vectorized engine and the oracle must hand every monitor
+the same ``(now, flow_segments, rates)`` sequence, floats and all
+(``tests/test_engine_incremental.py`` captures and compares full
+streams).  Monitors can therefore assume their statistics are
+backend-independent.
 """
 
 from __future__ import annotations

@@ -1,14 +1,13 @@
-"""Oracle/incremental/vectorized equivalence and event-loop regressions.
+"""Oracle-vs-vectorized equivalence and event-loop regressions.
 
 The allocator backends' contract (``docs/simulator.md``) is exact: for
-any trace and failure schedule the incremental engine *and* the
-vectorized columnar engine must be *bit-identical* to the from-scratch
-oracle — same flow and coflow records, same event counts, and the same
-full rate map after every single reallocation.  These tests enforce
-that three-way contract on randomized workloads, through the
-Figure 1(c) experiment pipeline, and pin down the event-loop hazard the
-overhaul fixed (recursive completion draining blowing the stack on long
-same-instant chains).
+any trace and failure schedule the vectorized columnar engine must be
+*bit-identical* to the from-scratch scalar oracle — same flow and
+coflow records, same event counts, and the same full rate map after
+every single reallocation.  These tests enforce that contract on
+randomized workloads, through the Figure 1(c) experiment pipeline, and
+pin down an event-loop hazard (recursive completion draining blowing
+the stack on long same-instant chains).
 """
 
 import sys
@@ -78,21 +77,17 @@ def run_mode(trace, allocator, fail=None):
     return sim.run(), monitor
 
 
-CHALLENGER_ALLOCATORS = ("incremental", "vectorized")
-
-
 def assert_bit_identical(trace, fail=None):
     oracle, oracle_mon = run_mode(trace, "oracle", fail)
-    for allocator in CHALLENGER_ALLOCATORS:
-        got, got_mon = run_mode(trace, allocator, fail)
-        # Dataclass equality on float fields is exact, so any drift —
-        # however small — fails here, not just "close enough".
-        assert got.flows == oracle.flows, allocator
-        assert got.coflows == oracle.coflows, allocator
-        assert got.end_time == oracle.end_time, allocator
-        assert got.events_processed == oracle.events_processed, allocator
-        assert got.reallocations == oracle.reallocations, allocator
-        assert got_mon.events == oracle_mon.events, allocator
+    got, got_mon = run_mode(trace, "vectorized", fail)
+    # Dataclass equality on float fields is exact, so any drift —
+    # however small — fails here, not just "close enough".
+    assert got.flows == oracle.flows
+    assert got.coflows == oracle.coflows
+    assert got.end_time == oracle.end_time
+    assert got.events_processed == oracle.events_processed
+    assert got.reallocations == oracle.reallocations
+    assert got_mon.events == oracle_mon.events
 
 
 @given(workloads())
@@ -122,23 +117,27 @@ def test_challengers_match_oracle_unrepaired(trace, victim, t_fail):
     """No repair: stalled flows stay stalled and the horizon cuts the
     run short — the modes must agree on unfinished flows too."""
     a, a_mon = run_mode(trace, "oracle", fail=(victim, t_fail, 20_000.0))
-    for allocator in CHALLENGER_ALLOCATORS:
-        b, b_mon = run_mode(trace, allocator, fail=(victim, t_fail, 20_000.0))
-        assert b.flows == a.flows, allocator
-        assert b.coflows == a.coflows, allocator
-        assert b.end_time == a.end_time, allocator
-        assert b_mon.events == a_mon.events, allocator
+    b, b_mon = run_mode(trace, "vectorized", fail=(victim, t_fail, 20_000.0))
+    assert b.flows == a.flows
+    assert b.coflows == a.coflows
+    assert b.end_time == a.end_time
+    assert b_mon.events == a_mon.events
 
 
-def test_unknown_allocator_rejected():
+@pytest.mark.parametrize("allocator", ["bogus", "incremental"])
+def test_unknown_allocator_rejected(allocator):
+    """Unknown modes, including the removed "incremental" backend, fail
+    loudly and name the remaining choices."""
     tree = FatTree(4)
     trace = [
         CoflowSpec(1, 0.0, (FlowSpec(1, 1, HOSTS[0], HOSTS[-1], 1e6),))
     ]
-    with pytest.raises(ValueError, match="unknown allocator"):
+    with pytest.raises(ValueError, match="unknown allocator") as excinfo:
         FluidSimulation(
-            tree, GlobalOptimalRerouteRouter(tree), trace, allocator="bogus"
+            tree, GlobalOptimalRerouteRouter(tree), trace, allocator=allocator
         )
+    assert "'vectorized'" in str(excinfo.value)
+    assert "'oracle'" in str(excinfo.value)
 
 
 def _stack_depth():
@@ -201,10 +200,10 @@ def _pipeline_payloads():
 
 
 def test_pipeline_results_identical_across_allocators(monkeypatch):
-    """Full experiment-pipeline A/B/C: every slowdown sample — including
+    """Full experiment-pipeline A/B: every slowdown sample — including
     the memoised clean baselines — must match exactly across modes."""
     outputs = {}
-    for mode in ("oracle", *CHALLENGER_ALLOCATORS):
+    for mode in ("oracle", "vectorized"):
         monkeypatch.setattr(engine_mod, "DEFAULT_ALLOCATOR", mode)
         # The clean baselines are memoised per worker; rebuild them
         # under each allocator so the comparison covers them too.
@@ -215,6 +214,5 @@ def test_pipeline_results_identical_across_allocators(monkeypatch):
         ]
     slowdown._rerouting_context.cache_clear()
     slowdown._sharebackup_context.cache_clear()
-    assert outputs["incremental"] == outputs["oracle"]
     assert outputs["vectorized"] == outputs["oracle"]
-    assert all(out["slowdowns"] for out in outputs["incremental"])
+    assert all(out["slowdowns"] for out in outputs["vectorized"])

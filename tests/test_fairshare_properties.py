@@ -4,13 +4,12 @@ The invariants run against the public :func:`max_min_rates` wrapper,
 which now sits on the dense array core (:func:`allocate_dense`), so
 feasibility / Pareto / fairness cover both layers.  The second half of
 the file pins down the array core's own contracts: wrapper/core
-bit-identity, component separability (the property the engine's
-incremental mode is built on), workspace reuse, and the
-``assume_connected`` fast path.  The final section holds the vectorized
-columnar kernel (:mod:`repro.simulation.columnar`) to the same bar:
-scalar/batched bit-identity, CSR incidence round-trips against the
-object conflict graph, water-fill saturation invariants, and columnar
-workspace purity.
+bit-identity, component separability, and workspace reuse.  The final
+section holds the vectorized columnar kernel
+(:mod:`repro.simulation.columnar`) to the same bar: scalar/batched
+bit-identity, water-fill saturation invariants, columnar workspace
+purity, and the :class:`FlowTable` bookkeeping the engine patches per
+event.
 """
 
 import hypothesis.strategies as st
@@ -25,7 +24,6 @@ from repro.simulation.columnar import (
     pack_paths,
     waterfill,
 )
-from repro.simulation.conflict import ConflictGraph
 from repro.simulation.fairshare import AllocatorWorkspace, FairShareError
 
 
@@ -190,7 +188,8 @@ def test_dense_core_matches_wrapper_bitwise(problem):
 @settings(max_examples=200, deadline=None)
 def test_component_separability_is_bitwise_exact(problem):
     """Solving each conflict component alone reproduces the full solve
-    bit-for-bit — the property the engine's incremental mode rests on."""
+    bit-for-bit — the property that lets the vectorized engine apply
+    only the rates that changed."""
     flow_segments, capacities = problem
     pairs, caps = intern(flow_segments, capacities)
     merged = allocate_dense(pairs, caps)
@@ -200,21 +199,6 @@ def test_component_separability_is_bitwise_exact(problem):
         comp_pairs = [(f, by_flow[f]) for f in comp]
         pieced.update(allocate_dense(comp_pairs, caps))
     assert pieced == merged
-
-
-@given(allocation_problems())
-@settings(max_examples=200, deadline=None)
-def test_assume_connected_matches_partitioned_solve(problem):
-    """Per single component, the assume_connected fast path (what the
-    engine uses) must agree with the partitioning path exactly."""
-    flow_segments, capacities = problem
-    pairs, caps = intern(flow_segments, capacities)
-    by_flow = dict(pairs)
-    for comp in components_of(flow_segments):
-        comp_pairs = [(f, by_flow[f]) for f in comp]
-        fast = allocate_dense(comp_pairs, caps, assume_connected=True)
-        general = allocate_dense(comp_pairs, caps)
-        assert fast == general
 
 
 @given(allocation_problems(), allocation_problems())
@@ -243,7 +227,7 @@ def test_workspace_survives_input_errors(problem):
 
 
 # ----------------------------------------------------------------------
-# columnar kernel contracts: bit-identity, CSR round-trip, saturation
+# columnar kernel contracts: bit-identity, saturation, table bookkeeping
 # ----------------------------------------------------------------------
 
 
@@ -288,32 +272,83 @@ def test_waterfill_saturation_invariants(problem):
     assert np.all(padded[matrix].any(axis=1)), "a flow has slack on its path"
 
 
-@given(allocation_problems())
+@st.composite
+def flow_table_scripts(draw):
+    """A segment universe, an initial matrix width, and a random script
+    of append / single discard / batch discard / rebuild steps.  Paths
+    run longer than the initial width, so appends and rebuilds widen."""
+    num_segments = draw(st.integers(min_value=1, max_value=12))
+    width = draw(st.integers(min_value=1, max_value=4))
+    paths = st.lists(
+        st.integers(min_value=0, max_value=num_segments - 1),
+        min_size=1,
+        max_size=min(7, num_segments),
+        unique=True,
+    ).map(tuple)
+    picks = st.integers(min_value=0, max_value=10**6)
+    steps = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("append"), paths),
+                st.tuples(st.just("discard_one"), picks),
+                st.tuples(
+                    st.just("discard_many"),
+                    st.lists(picks, min_size=2, max_size=6),
+                ),
+                # Up to 80 rows: past the table's initial row capacity.
+                st.tuples(st.just("rebuild"), st.lists(paths, max_size=80)),
+            ),
+            max_size=30,
+        )
+    )
+    return num_segments, width, steps
+
+
+def assert_table_matches(table, model, num_segments, issued):
+    """``table`` holds exactly ``model``'s ``(flow_id, path, rate)`` rows
+    in order, and its incidence equals a full recount of the matrix."""
+    assert len(table) == len(model)
+    assert table.flow_ids[: len(table)].tolist() == [f for f, _, _ in model]
+    assert table.rates_view.tolist() == [rate for _, _, rate in model]
+    for row, (_, path, _) in enumerate(model):
+        matrix_row = table.seg_matrix[row].tolist()
+        assert tuple(matrix_row[: len(path)]) == path
+        assert all(s == num_segments for s in matrix_row[len(path) :])
+    resident = {fid for fid, _, _ in model}
+    assert all((fid in table) == (fid in resident) for fid in range(issued))
+    assert np.array_equal(
+        table.incidence,
+        np.bincount(table.seg_matrix.ravel(), minlength=num_segments + 1),
+    )
+
+
+@given(flow_table_scripts())
 @settings(max_examples=200, deadline=None)
-def test_csr_incidence_roundtrip_vs_object_graph(problem):
-    """ConflictGraph.incidence_csr() and the columnar FlowTable agree:
-    same rows, same paths, same per-segment incidence counts."""
-    pairs, caps = intern(*problem)
-    num_segments = len(caps)
-    graph = ConflictGraph(num_segments)
-    table = FlowTable(num_segments)
-    for fid, path in pairs:
-        graph.place(fid, path)
-        table.append(fid, path)
-    flow_ids, indptr, indices = graph.incidence_csr()
-    # Row-by-row: the CSR slices round-trip the original paths, and the
-    # table's matrix rows match them (ignoring sentinel padding).
-    assert flow_ids.tolist() == [fid for fid, _ in pairs]
-    assert table.flow_ids[: len(table)].tolist() == [fid for fid, _ in pairs]
-    for row, (_, path) in enumerate(pairs):
-        assert tuple(indices[indptr[row] : indptr[row + 1]]) == path
-        matrix_row = table.seg_matrix[row]
-        assert tuple(matrix_row[matrix_row != num_segments]) == path
-    # Aggregate: bincount over the CSR indices equals the incidence the
-    # table maintains incrementally (real segments; the sentinel slot
-    # only counts padding).
-    csr_incidence = np.bincount(indices, minlength=num_segments)
-    assert np.array_equal(csr_incidence, table.incidence[:num_segments])
+def test_flow_table_bookkeeping_matches_list_model(script):
+    """FlowTable's incrementally patched state — rows, flow ids,
+    installed rates, and the per-segment incidence the water-fill reads
+    instead of recounting (sentinel slot included) — matches a plain
+    list model after every append, discard, widen and rebuild."""
+    num_segments, width, steps = script
+    table = FlowTable(num_segments, width=width)
+    model = []
+    issued = 0
+    for op, arg in steps:
+        if op == "append":
+            table.append(issued, arg)
+            model.append((issued, arg, 0.0))
+            issued += 1
+        elif op == "rebuild":
+            model = [(issued + i, path, i + 0.5) for i, path in enumerate(arg)]
+            issued += len(arg)
+            table.rebuild(model)
+        elif model:
+            picked = [arg] if op == "discard_one" else arg
+            gone = sorted({model[i % len(model)][0] for i in picked})
+            # -1 was never resident: a batch must ignore it.
+            table.discard(gone if op == "discard_one" else [*gone, -1])
+            model = [row for row in model if row[0] not in gone]
+        assert_table_matches(table, model, num_segments, issued)
 
 
 @given(allocation_problems(), allocation_problems())
