@@ -15,7 +15,6 @@ import pytest
 from repro.core import ImpersonationTables, ShareBackupNetwork
 from repro.rng import ensure_rng
 from repro.routing import EcmpSelector, Packet
-from repro.routing.paths import enumerate_edge_paths
 from repro.simulation import allocate_dense, max_min_rates
 from repro.simulation.columnar import ColumnarWorkspace, pack_paths, waterfill
 from repro.simulation.fairshare import AllocatorWorkspace
@@ -142,9 +141,12 @@ def test_perf_ecmp_selection(benchmark):
 
 
 def test_perf_path_enumeration_k16(benchmark):
+    """All 64 equal-cost paths of one inter-pod edge pair, from the
+    wiring tables (filled on the first round)."""
     tree = FatTree(16)
-    middles = benchmark(enumerate_edge_paths, tree, "E.0.0", "E.15.7")
-    assert len(middles) == 64
+    selector = EcmpSelector(tree)
+    paths = benchmark(selector.paths, "H.0.0.0", "H.15.7.0")
+    assert len(paths) == 64
 
 
 def test_perf_failover(benchmark):

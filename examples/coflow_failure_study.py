@@ -18,7 +18,7 @@ Run:  python examples/coflow_failure_study.py
 
 import math
 
-from repro.analysis import affected_by_scenario, cct_slowdowns, percentile
+from repro.analysis import PinIndex, cct_slowdowns, percentile
 from repro.core import ShareBackupNetwork, ShareBackupSimulation
 from repro.failures import FailureInjector
 from repro.routing import F10LocalRerouteRouter, GlobalOptimalRerouteRouter
@@ -66,25 +66,12 @@ def main() -> None:
     )
     scenario = injector.single_node_failure()
     victim = scenario.nodes[0]
-    counts = affected_by_scenario(reference, specs, scenario)
+    pins = PinIndex(reference, specs)  # pre-failure ECMP pins, indexed
+    counts = pins.counts(scenario)
     print(f"\ninjected failure: {victim}")
     print(f"  affected flows:   {counts.flow_fraction:6.1%}")
     print(f"  affected coflows: {counts.coflow_fraction:6.1%}  "
           f"(amplification {counts.amplification:.1f}x — the coflow effect)")
-    def affected_ids_for(tree) -> list[int]:
-        """Coflows whose pre-failure ECMP pins cross the victim, per
-        architecture (pin sets differ between fat-tree and F10 wiring)."""
-        from repro.routing import EcmpSelector
-
-        selector = EcmpSelector(tree)
-        out = []
-        for coflow in specs:
-            for spec in coflow.flows:
-                path = selector.select(spec.src, spec.dst, spec.flow_id)
-                if path is not None and victim in path.nodes:
-                    out.append(coflow.coflow_id)
-                    break
-        return out
 
     print("\nCCT slowdown of affected coflows under that single failure")
     print("(each architecture is compared against its *own* no-failure run):")
@@ -101,7 +88,7 @@ def main() -> None:
         t1, GlobalOptimalRerouteRouter(t1), specs, horizon=3600.0
     )
     sim1.fail_node_at(0.0, victim)
-    affected1 = affected_ids_for(FatTree(K, hosts_per_edge=HOSTS_PER_EDGE))
+    affected1 = pins.affected_coflows(scenario)
     r1 = cct_slowdowns(b1, sim1.run(), affected1)
     print(f"  fat-tree/global-reroute : {slowdown_digest(r1)}")
 
@@ -115,7 +102,9 @@ def main() -> None:
     t2 = F10Tree(K, hosts_per_edge=HOSTS_PER_EDGE)
     sim2 = FluidSimulation(t2, F10LocalRerouteRouter(t2), specs, horizon=3600.0)
     sim2.fail_node_at(0.0, victim)
-    affected2 = affected_ids_for(F10Tree(K, hosts_per_edge=HOSTS_PER_EDGE))
+    # F10's skewed wiring pins flows differently: index its own tree.
+    f10_pins = PinIndex(F10Tree(K, hosts_per_edge=HOSTS_PER_EDGE), specs)
+    affected2 = f10_pins.affected_coflows(scenario)
     r2 = cct_slowdowns(b2, sim2.run(), affected2)
     print(f"  f10/local-reroute       : {slowdown_digest(r2)}")
 

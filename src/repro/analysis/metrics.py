@@ -5,6 +5,9 @@ These implement the paper's definitions verbatim (Section 2.2):
 * "A flow is considered affected if it traverses a failed node or link,
   and a coflow is affected if at least one flow in its set gets
   affected."  Traversal is judged on the flow's *pre-failure* ECMP pin.
+  Pins do not depend on the failure, so :class:`PinIndex` pins a trace
+  once and maps every node and link to the flows crossing it; each
+  scenario is then a union of lookups.
 * "CCT slowdown, which is the CCT with failure divided by the CCT
   without failure."  Coflows that never finish under the failure map to
   ``inf`` — they sit at the top of the slowdown CDF.
@@ -13,6 +16,7 @@ These implement the paper's definitions verbatim (Section 2.2):
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -24,6 +28,7 @@ from ..topology.fattree import FatTree
 
 __all__ = [
     "AffectedCounts",
+    "PinIndex",
     "affected_by_scenario",
     "cct_slowdowns",
     "SlowdownReport",
@@ -57,50 +62,68 @@ class AffectedCounts:
         return self.coflow_fraction / self.flow_fraction
 
 
+class PinIndex:
+    """Which flows' pre-failure ECMP pins cross each node and link.
+
+    Built from one pinning pass over ``trace`` on the healthy ``tree``;
+    flows are numbered in trace order.
+    """
+
+    def __init__(self, tree: FatTree, trace: Sequence[CoflowSpec]) -> None:
+        if tree.failed_nodes() or tree.failed_links():
+            raise ValueError("pins are taken on the pre-failure topology")
+        selector = EcmpSelector(tree)
+        self.coflow_ids = tuple(coflow.coflow_id for coflow in trace)
+        #: Flow number → position of its coflow in the trace.
+        self.coflow_of: list[int] = []
+        self.by_node: dict[str, list[int]] = defaultdict(list)
+        self.by_link: dict[int, list[int]] = defaultdict(list)
+        for position, coflow in enumerate(trace):
+            for spec in coflow.flows:
+                flow = len(self.coflow_of)
+                self.coflow_of.append(position)
+                path = selector.select(spec.src, spec.dst, spec.flow_id)
+                if path is None:
+                    continue
+                for node in path.nodes:
+                    self.by_node[node].append(flow)
+                for seg in path.segments(tree, spec.flow_id):
+                    self.by_link[seg.link_id].append(flow)
+
+    def affected_flows(self, scenario: FailureScenario) -> set[int]:
+        """Numbers of the flows whose pins cross a failed node or link."""
+        hit: set[int] = set()
+        for node in scenario.nodes:
+            hit.update(self.by_node.get(node, ()))
+        for link_id in scenario.links:
+            hit.update(self.by_link.get(link_id, ()))
+        return hit
+
+    def affected_coflows(self, scenario: FailureScenario) -> list[int]:
+        """Ids of the coflows with an affected flow, in trace order."""
+        positions = {self.coflow_of[flow] for flow in self.affected_flows(scenario)}
+        return [self.coflow_ids[position] for position in sorted(positions)]
+
+    def counts(self, scenario: FailureScenario) -> AffectedCounts:
+        """The Figure 1(a)/(b) measurement of one scenario."""
+        flows = self.affected_flows(scenario)
+        return AffectedCounts(
+            flows_total=len(self.coflow_of),
+            flows_affected=len(flows),
+            coflows_total=len(self.coflow_ids),
+            coflows_affected=len({self.coflow_of[flow] for flow in flows}),
+        )
+
+
 def affected_by_scenario(
-    tree: FatTree,
-    trace: Sequence[CoflowSpec],
-    scenario: FailureScenario,
-    selector: EcmpSelector | None = None,
+    tree: FatTree, trace: Sequence[CoflowSpec], scenario: FailureScenario
 ) -> AffectedCounts:
     """Count flows/coflows whose ECMP-pinned path crosses the scenario.
 
-    The topology must be in the *pre-failure* state when called: pins and
-    their segments are computed on the healthy network, then intersected
-    with the scenario's element sets.
+    The topology must be in the *pre-failure* state when called.  A
+    study measuring many scenarios builds one :class:`PinIndex` instead.
     """
-    if tree.failed_nodes() or tree.failed_links():
-        raise ValueError("affected_by_scenario needs the pre-failure topology")
-    selector = selector or EcmpSelector(tree)
-    failed_nodes = set(scenario.nodes)
-    failed_links = set(scenario.links)
-
-    flows_total = flows_affected = 0
-    coflows_affected = 0
-    for coflow in trace:
-        coflow_hit = False
-        for spec in coflow.flows:
-            flows_total += 1
-            path = selector.select(spec.src, spec.dst, spec.flow_id)
-            if path is None:
-                continue
-            hit = bool(failed_nodes.intersection(path.nodes))
-            if not hit and failed_links:
-                hit = any(
-                    seg.link_id in failed_links
-                    for seg in path.segments(tree, spec.flow_id)
-                )
-            if hit:
-                flows_affected += 1
-                coflow_hit = True
-        if coflow_hit:
-            coflows_affected += 1
-    return AffectedCounts(
-        flows_total=flows_total,
-        flows_affected=flows_affected,
-        coflows_total=len(trace),
-        coflows_affected=coflows_affected,
-    )
+    return PinIndex(tree, trace).counts(scenario)
 
 
 @dataclass(frozen=True)

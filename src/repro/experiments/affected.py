@@ -29,9 +29,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
-from ..analysis.metrics import affected_by_scenario
+from ..analysis.metrics import PinIndex
 from ..failures.injector import FailureInjector, FailureScenario
-from ..routing.ecmp import EcmpSelector
 from ..topology.f10 import F10Tree
 from ..topology.fattree import FatTree
 from .config import StudyConfig
@@ -125,17 +124,17 @@ class PlannedEvaluation:
 
 
 @lru_cache(maxsize=4)
-def _evaluation_context(architecture: str, config_items: tuple):
-    """(tree, specs, selector) for one architecture/config, memoised.
+def _evaluation_context(architecture: str, config_items: tuple) -> PinIndex:
+    """The pin index of one architecture/config's trace, memoised.
 
     Worker processes evaluate many scenarios of the same study; the
     fabric, trace, and ECMP pins are identical across them and dominate
-    the cost, so they are built once per process.
+    the cost, so they are pinned once per process and every scenario is
+    answered by index lookups.
     """
     config = StudyConfig(**dict(config_items))
     tree = config.build_tree(TREE_CLASSES[architecture])
-    specs = config.build_specs(tree)
-    return tree, specs, EcmpSelector(tree)
+    return PinIndex(tree, config.build_specs(tree))
 
 
 def evaluate_affected_payload(payload: dict) -> dict:
@@ -144,14 +143,14 @@ def evaluate_affected_payload(payload: dict) -> dict:
     Returns raw integer counts (not fractions) so the result is exactly
     JSON-round-trippable and aggregation controls the float arithmetic.
     """
-    tree, specs, selector = _evaluation_context(
+    pins = _evaluation_context(
         payload["architecture"], tuple(sorted(payload["config"].items()))
     )
     scenario = FailureScenario(
         nodes=tuple(payload["scenario"]["nodes"]),
         links=tuple(payload["scenario"]["links"]),
     )
-    counts = affected_by_scenario(tree, specs, scenario, selector)
+    counts = pins.counts(scenario)
     return {
         "flows_total": counts.flows_total,
         "flows_affected": counts.flows_affected,

@@ -25,11 +25,10 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from ..analysis.cdf import percentile
-from ..analysis.metrics import cct_slowdowns
+from ..analysis.metrics import PinIndex, cct_slowdowns
 from ..core.sharebackup import ShareBackupNetwork
 from ..core.simadapter import ShareBackupSimulation
 from ..failures.injector import FailureInjector, FailureScenario
-from ..routing.ecmp import EcmpSelector
 from ..routing.reroute_f10 import F10LocalRerouteRouter
 from ..routing.reroute_global import GlobalOptimalRerouteRouter
 from ..simulation.engine import FluidSimulation
@@ -64,29 +63,6 @@ def hottest_pod(specs, tree) -> int:
             if src_pod != dst_pod:
                 pod_bytes[src_pod] += flow.size_bytes
     return max(pod_bytes, key=pod_bytes.get)
-
-
-def affected_coflow_ids(tree, specs, scenario, selector=None) -> list[int]:
-    """Coflows whose pre-failure ECMP pins cross the scenario."""
-    selector = selector or EcmpSelector(tree)
-    failed_nodes = set(scenario.nodes)
-    failed_links = set(scenario.links)
-    out = []
-    for coflow in specs:
-        for flow in coflow.flows:
-            path = selector.select(flow.src, flow.dst, flow.flow_id)
-            if path is None:
-                continue
-            hit = bool(failed_nodes.intersection(path.nodes))
-            if not hit and failed_links:
-                hit = any(
-                    seg.link_id in failed_links
-                    for seg in path.segments(tree, flow.flow_id)
-                )
-            if hit:
-                out.append(coflow.coflow_id)
-                break
-    return out
 
 
 @dataclass(frozen=True)
@@ -148,7 +124,8 @@ class PlannedReplay:
 
 @lru_cache(maxsize=4)
 def _rerouting_context(architecture: str, config_items: tuple):
-    """(config, specs, baseline result) for one rerouting architecture."""
+    """(config, specs, baseline result, pin index) for one rerouting
+    architecture; the pins are taken on the healthy baseline tree."""
     config = StudyConfig(**dict(config_items))
     tree_cls, router_cls = _REROUTING[architecture]
     baseline_tree = config.build_tree(tree_cls)
@@ -156,7 +133,7 @@ def _rerouting_context(architecture: str, config_items: tuple):
     baseline = FluidSimulation(
         baseline_tree, router_cls(baseline_tree), specs, horizon=config.horizon
     ).run()
-    return config, specs, baseline
+    return config, specs, baseline, PinIndex(baseline_tree, specs)
 
 
 @lru_cache(maxsize=4)
@@ -190,7 +167,7 @@ def evaluate_slowdown_payload(payload: dict) -> dict:
         report = cct_slowdowns(baseline, sim.run())
         return {"slowdowns": report.all_slowdowns()}
 
-    config, specs, baseline = _rerouting_context(architecture, config_items)
+    config, specs, baseline, pins = _rerouting_context(architecture, config_items)
     tree_cls, router_cls = _REROUTING[architecture]
     scenario = FailureScenario(
         nodes=tuple(payload["scenario"]["nodes"]),
@@ -202,9 +179,7 @@ def evaluate_slowdown_payload(payload: dict) -> dict:
         sim.fail_node_at(0.0, node)
     for link_id in scenario.links:
         sim.fail_link_at(0.0, link_id)
-    report = cct_slowdowns(
-        baseline, sim.run(), affected_coflow_ids(tree, specs, scenario)
-    )
+    report = cct_slowdowns(baseline, sim.run(), pins.affected_coflows(scenario))
     return {"slowdowns": report.affected_slowdowns()}
 
 
@@ -237,9 +212,6 @@ class SlowdownStudy:
         link = tree.links_between("A.0.0", "C.0")[0]
         out.append(FailureScenario(links=(link.link_id,)))
         return out
-
-    def affected_ids(self, tree, specs, scenario) -> list[int]:
-        return affected_coflow_ids(tree, specs, scenario)
 
     # ------------------------------------------------------------------
     # plan / aggregate / run

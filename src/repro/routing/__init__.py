@@ -6,9 +6,9 @@ replaced) lives in :mod:`repro.core` with the rest of the contribution.
 """
 
 from .base import LookupMiss, Packet, PrefixEntry, RoutingTable, SuffixEntry
-from .ecmp import EcmpSelector, flow_hash
+from .ecmp import EcmpSelector, enumerate_paths, flow_hash, operational_paths
 from .fallback import FallbackRouter
-from .paths import DirectedSegment, Path, enumerate_paths, operational_paths
+from .paths import DirectedSegment, Path
 from .reroute_f10 import F10LocalRerouteRouter
 from .reroute_global import GlobalOptimalRerouteRouter
 from .router import LoadMap, Router

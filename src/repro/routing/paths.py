@@ -1,18 +1,17 @@
-"""Up/down path enumeration for folded-Clos topologies.
+"""Paths and directed segments for folded-Clos topologies.
 
 Fat-tree, F10's AB fat-tree, and the Aspen variant are all folded Clos
 networks: every host-to-host route climbs to the lowest common level and
-descends, so the complete set of shortest paths can be enumerated
-structurally instead of by graph search:
+descends, so the complete set of shortest paths is structural:
 
 * same edge switch:          ``H → E → H'``                      (2 hops)
 * same pod, different edge:  ``H → E → A → E' → H'``             (4 hops)
 * different pods:            ``H → E → A → C → A' → E' → H'``    (6 hops)
 
-Enumeration walks the *adjacency* of the concrete topology rather than
-closed-form index arithmetic, so it automatically honours F10's skewed
-wiring and Aspen's reduced parent sets, and it can be restricted to
-operational elements for post-failure path sets.
+The candidate sets themselves come from the static wiring tables of
+:class:`~repro.routing.ecmp.EcmpSelector`, which are read off the
+concrete topology's adjacency, so they honour F10's skewed wiring and
+Aspen's reduced parent sets.
 
 Paths also carry their *directed segment* view — the per-direction link
 capacities the fluid simulator allocates bandwidth over.  Directions
@@ -22,18 +21,10 @@ matter: a full-duplex link congested host-bound may be idle core-bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
-from ..topology.base import NodeKind, Topology
-from ..topology.fattree import FatTree
+from ..topology.base import Topology
 
-__all__ = [
-    "Path",
-    "DirectedSegment",
-    "enumerate_paths",
-    "enumerate_edge_paths",
-    "operational_paths",
-]
+__all__ = ["Path", "DirectedSegment", "hop_segment"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,45 +80,16 @@ class Path:
     ) -> tuple[DirectedSegment, ...]:
         """Resolve into directed link segments against ``topo``.
 
-        Parallel links (Aspen-style duplicated wiring) are load-balanced:
-        the operational candidates of a hop are indexed by a hash of
-        ``flow_label``, so distinct flows spread across the parallel pair
-        and the pair's capacity actually aggregates.  With a single
-        candidate (every plain fat-tree hop) the choice is the identity.
-        If no candidate is operational the lowest-id link is returned so
-        callers can still inspect a dead path's geometry.
+        Each hop is resolved by :func:`hop_segment`.
         """
-        segs: list[DirectedSegment] = []
-        for hop, (a, b) in enumerate(zip(self.nodes, self.nodes[1:])):
-            candidates = sorted(topo.links_between(a, b), key=lambda l: l.link_id)
-            if not candidates:
-                raise ValueError(f"path hop {a}->{b} has no link")
-            operational = [
-                l for l in candidates if topo.link_is_operational(l.link_id)
-            ]
-            if not operational:
-                link = candidates[0]
-            elif len(operational) == 1:
-                link = operational[0]
-            else:
-                from .ecmp import flow_hash
-
-                link = operational[flow_hash(flow_label, hop) % len(operational)]
-            segs.append(DirectedSegment(link.link_id, forward=(link.a == a)))
-        return tuple(segs)
+        nodes = self.nodes
+        return tuple(
+            hop_segment(topo, nodes[hop], nodes[hop + 1], hop, flow_label)
+            for hop in range(len(nodes) - 1)
+        )
 
     def uses_node(self, name: str) -> bool:
         return name in self.nodes
-
-    def uses_link(self, topo: Topology, link_id: int) -> bool:
-        link = topo.links[link_id]
-        for a, b in zip(self.nodes, self.nodes[1:]):
-            if {a, b} == {link.a, link.b}:
-                # Only true if this hop would actually pick that link
-                # (relevant with parallel links).
-                chosen = self.segments(topo)
-                return any(s.link_id == link_id for s in chosen)
-        return False
 
     def is_operational(self, topo: Topology) -> bool:
         return topo.path_is_operational(self.nodes)
@@ -136,158 +98,29 @@ class Path:
         return "Path(" + " > ".join(self.nodes) + ")"
 
 
-class _TopoMemo:
-    """Per-topology memo for the neighbour/hop queries path enumeration
-    hammers.
+def hop_segment(
+    topo: Topology, a: str, b: str, hop: int, flow_label: int = 0
+) -> DirectedSegment:
+    """The directed segment hop number ``hop`` (``a → b``) of a path uses.
 
-    Large replays call :func:`enumerate_edge_paths` once per flow
-    arrival (the per-edge-pair ECMP cache stops hitting once there are
-    hundreds of edge switches), and each enumeration re-derives the
-    same operational neighbour sets hundreds of times — at k=32 that
-    was ~390k :func:`_up_switches` evaluations walking 12.7M adjacency
-    entries for ~1.3k distinct keys.  Memoising per query key collapses
-    that, and because the memo only caches (it never reorders), the
-    enumerated path lists — and therefore every replay decision
-    downstream — are byte-for-byte what the uncached walk produces.
-
-    Invalidation is by :attr:`~repro.topology.base.Topology.state_rev`
-    comparison: any construction or failure-state mutation bumps the
-    revision and the next query starts a fresh memo.  Entries are held
-    via a ``WeakKeyDictionary`` so caching never extends a topology's
-    lifetime.
+    Parallel links (Aspen-style duplicated wiring) are load-balanced:
+    the operational links of the hop, in id order, are indexed by a hash
+    of ``(flow_label, hop)``, so distinct flows spread across the
+    parallel pair and the pair's capacity actually aggregates.  With a
+    single link (every plain fat-tree hop) the choice is the identity.
+    If no link is operational the lowest-id one is returned so callers
+    can still inspect a dead path's geometry.
     """
+    ids = topo.link_ids_between(a, b)
+    if not ids:
+        raise ValueError(f"path hop {a}->{b} has no link")
+    link_id = ids[0]
+    if len(ids) > 1:
+        operational = [i for i in ids if topo.link_is_operational(i)]
+        if len(operational) == 1:
+            link_id = operational[0]
+        elif operational:
+            from .ecmp import flow_hash
 
-    __slots__ = ("rev", "up", "all", "hop")
-
-    def __init__(self, rev: int) -> None:
-        self.rev = rev
-        self.up: dict[tuple[str, NodeKind], list[str]] = {}
-        self.all: dict[tuple[str, NodeKind], list[str]] = {}
-        self.hop: dict[tuple[str, str], bool] = {}
-
-
-_MEMOS: WeakKeyDictionary[Topology, _TopoMemo] = WeakKeyDictionary()
-
-
-def _memo_for(topo: Topology) -> _TopoMemo:
-    rev = topo.state_rev
-    memo = _MEMOS.get(topo)
-    if memo is None or memo.rev != rev:
-        memo = _TopoMemo(rev)
-        _MEMOS[topo] = memo
-    return memo
-
-
-def _up_switches(topo: Topology, name: str, kind: NodeKind) -> list[str]:
-    """Operational neighbours of ``name`` having ``kind``, sorted."""
-    memo = _memo_for(topo).up
-    key = (name, kind)
-    hit = memo.get(key)
-    if hit is None:
-        hit = sorted(
-            {
-                other
-                for other, _link in topo.up_neighbors(name)
-                if topo.nodes[other].kind is kind
-                and not topo.nodes[other].is_backup
-            }
-        )
-        memo[key] = hit
-    return hit
-
-
-def _all_switch_neighbors(topo: Topology, name: str, kind: NodeKind) -> list[str]:
-    memo = _memo_for(topo).all
-    key = (name, kind)
-    hit = memo.get(key)
-    if hit is None:
-        hit = sorted(
-            {
-                other
-                for other in topo.neighbors(name)
-                if topo.nodes[other].kind is kind
-                and not topo.nodes[other].is_backup
-            }
-        )
-        memo[key] = hit
-    return hit
-
-
-def enumerate_edge_paths(
-    tree: FatTree,
-    src_edge: str,
-    dst_edge: str,
-    operational_only: bool = False,
-) -> list[tuple[str, ...]]:
-    """All shortest switch-level sequences from ``src_edge`` to ``dst_edge``.
-
-    These are the host-independent middles of host-to-host paths; ECMP
-    caches them per edge pair because every host pair behind the same two
-    edges shares the same candidate set.
-    """
-    if src_edge == dst_edge:
-        return [(src_edge,)]
-    neigh = _up_switches if operational_only else _all_switch_neighbors
-    src_pod = tree.nodes[src_edge].pod
-    dst_pod = tree.nodes[dst_edge].pod
-    middles: list[tuple[str, ...]] = []
-
-    if src_pod == dst_pod:
-        for agg in neigh(tree, src_edge, NodeKind.AGGREGATION):
-            if operational_only and not _hop_ok(tree, agg, dst_edge):
-                continue
-            if dst_edge in tree.neighbors(agg):
-                middles.append((src_edge, agg, dst_edge))
-        return middles
-
-    for agg in neigh(tree, src_edge, NodeKind.AGGREGATION):
-        for core in neigh(tree, agg, NodeKind.CORE):
-            for dst_agg in neigh(tree, core, NodeKind.AGGREGATION):
-                if tree.nodes[dst_agg].pod != dst_pod:
-                    continue
-                if dst_edge not in tree.neighbors(dst_agg):
-                    continue
-                if operational_only and not _hop_ok(tree, dst_agg, dst_edge):
-                    continue
-                middles.append((src_edge, agg, core, dst_agg, dst_edge))
-    return middles
-
-
-def enumerate_paths(
-    tree: FatTree,
-    src_host: str,
-    dst_host: str,
-    operational_only: bool = False,
-) -> list[Path]:
-    """All shortest up/down paths between two hosts.
-
-    With ``operational_only`` the enumeration skips failed nodes/links,
-    yielding the surviving equal-length path set (what ideal rerouting
-    chooses from).  Longer detour paths are *not* produced here — those
-    are the business of :mod:`repro.routing.reroute_f10`.
-    """
-    if src_host == dst_host:
-        raise ValueError("source and destination host are identical")
-    src_edge = tree.edge_of_host(src_host)
-    dst_edge = tree.edge_of_host(dst_host)
-    if operational_only and not _hop_ok(tree, src_host, src_edge):
-        return []
-    if operational_only and not _hop_ok(tree, dst_host, dst_edge):
-        return []
-    middles = enumerate_edge_paths(tree, src_edge, dst_edge, operational_only)
-    return [Path((src_host,) + middle + (dst_host,)) for middle in middles]
-
-
-def _hop_ok(topo: Topology, a: str, b: str) -> bool:
-    memo = _memo_for(topo).hop
-    key = (a, b)
-    hit = memo.get(key)
-    if hit is None:
-        hit = bool(topo.operational_links_between(a, b))
-        memo[key] = hit
-    return hit
-
-
-def operational_paths(tree: FatTree, src_host: str, dst_host: str) -> list[Path]:
-    """Shortest operational paths; convenience wrapper."""
-    return enumerate_paths(tree, src_host, dst_host, operational_only=True)
+            link_id = operational[flow_hash(flow_label, hop) % len(operational)]
+    return DirectedSegment(link_id, forward=(topo.links[link_id].a == a))

@@ -24,12 +24,22 @@ transient dynamics").
 
 from __future__ import annotations
 
+import zlib
+
 from ..topology.fattree import FatTree
-from .ecmp import EcmpSelector, flow_hash
+from .ecmp import EcmpSelector
 from .paths import Path
 from .router import LoadMap, Router
 
 __all__ = ["GlobalOptimalRerouteRouter"]
+
+
+class _Tokens(dict):
+    """``repr(name) + ", "`` per node name: a path tuple's repr, piecewise."""
+
+    def __missing__(self, name: str) -> bytes:
+        piece = self[name] = f"{name!r}, ".encode()
+        return piece
 
 
 class GlobalOptimalRerouteRouter(Router):
@@ -40,6 +50,7 @@ class GlobalOptimalRerouteRouter(Router):
     def __init__(self, tree: FatTree) -> None:
         self.tree = tree
         self.selector = EcmpSelector(tree)
+        self._tokens = _Tokens()
 
     def initial_path(
         self, src_host: str, dst_host: str, flow_label: int
@@ -56,17 +67,105 @@ class GlobalOptimalRerouteRouter(Router):
         old_path: Path | None,
         link_load: LoadMap,
     ) -> Path | None:
-        candidates = self.selector.paths(src_host, dst_host, operational_only=True)
-        if not candidates:
+        """The surviving shortest path whose busiest segment is least loaded.
+
+        Each candidate cell of the operational wiring view scores the max
+        load over its hops; ties at the minimum go to the least
+        ``flow_hash(flow_label, nodes) % 2**16``, then to the first
+        candidate.
+        """
+        selector = self.selector
+        edges = selector.edges(src_host, dst_host, operational_only=True)
+        if edges is None:
             return None
-        best: Path | None = None
-        best_key: tuple[int, int] | None = None
-        for path in candidates:
-            segments = path.segments(self.tree, flow_label)
-            worst = max((link_load.get(seg, 0) for seg in segments), default=0)
-            key = (worst, flow_hash(flow_label, path.nodes) % (1 << 16))
-            if best_key is None or key < best_key:
-                best, best_key = path, key
+        src_edge, dst_edge = edges
+        if src_edge == dst_edge:
+            return Path((src_host, src_edge, dst_host))
+        segment = selector.segment
+        load = link_load.get
+        view = selector.live
+        intra = self.tree.nodes[src_edge].pod == self.tree.nodes[dst_edge].pod
+        hosts = max(
+            load(segment(src_host, src_edge, 0, flow_label), 0),
+            load(segment(dst_edge, dst_host, 3 if intra else 5, flow_label), 0),
+        )
+        # Cells are (agg, rest), the path's nodes between the two edge
+        # switches being (agg,) + rest.  Only cells at the running
+        # minimum are kept, grouped by agg, in candidate order.
+        best = -1
+        ties: list[tuple[str, list[tuple[str, ...]]]] = []
+        if intra:
+            for agg in view.shared_aggs(src_edge, dst_edge):
+                worst = max(
+                    hosts,
+                    load(segment(src_edge, agg, 1, flow_label), 0),
+                    load(segment(agg, dst_edge, 2, flow_label), 0),
+                )
+                if worst < best or best < 0:
+                    best, ties = worst, []
+                if worst == best:
+                    ties.append((agg, [()]))
+        else:
+            last_hop = {  # dst agg → load of its hop into dst_edge
+                dst_agg: load(segment(dst_agg, dst_edge, 4, flow_label), 0)
+                for dst_agg in view.aggs[dst_edge]
+            }
+            for agg in view.aggs[src_edge]:
+                up = max(hosts, load(segment(src_edge, agg, 1, flow_label), 0))
+                row: list[tuple[str, ...]] = []
+                for core, dst_agg in view.cells(agg, dst_edge):
+                    worst = load(segment(agg, core, 2, flow_label), 0)
+                    if worst < up:
+                        worst = up
+                    hop = load(segment(core, dst_agg, 3, flow_label), 0)
+                    if hop > worst:
+                        worst = hop
+                    if last_hop[dst_agg] > worst:
+                        worst = last_hop[dst_agg]
+                    if worst < best or best < 0:
+                        best, ties, row = worst, [], []
+                    if worst == best:
+                        if not row:
+                            ties.append((agg, row))
+                        row.append((core, dst_agg))
+        if not ties:
+            return None
+        agg, rest = self._tie_break(
+            (src_host, src_edge), ties, (dst_edge, dst_host), flow_label
+        )
+        return Path((src_host, src_edge, agg) + rest + (dst_edge, dst_host))
+
+    def _tie_break(
+        self,
+        head: tuple[str, str],
+        ties: list[tuple[str, list[tuple[str, ...]]]],
+        tail: tuple[str, str],
+        flow_label: int,
+    ) -> tuple[str, tuple[str, ...]]:
+        """The first tied cell with the least ``flow_hash(flow_label,
+        nodes) % 2**16`` over its path's ``nodes``.
+
+        ``flow_hash`` is CRC-32 over ``f"{flow_label}|{nodes!r}"``.  The
+        CRC is extended piece by piece along the tuple's repr, so each
+        shared prefix is hashed once and no tuple is formatted.
+        """
+        tokens = self._tokens
+        crc32 = zlib.crc32
+        prefix = crc32(f"{flow_label}|(".encode())
+        for name in head:
+            prefix = crc32(tokens[name], prefix)
+        suffix = f"{tail[0]!r}, {tail[1]!r})".encode()
+        best = ties[0][0], ties[0][1][0]
+        best_key = 1 << 16
+        for agg, rests in ties:
+            start = crc32(tokens[agg], prefix)
+            for rest in rests:
+                crc = start
+                for name in rest:
+                    crc = crc32(tokens[name], crc)
+                key = crc32(suffix, crc) & 0xFFFF
+                if key < best_key:
+                    best, best_key = (agg, rest), key
         return best
 
     def on_topology_change(self) -> None:

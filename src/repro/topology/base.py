@@ -195,20 +195,10 @@ class Topology:
         self.name = name
         self.nodes: dict[str, Node] = {}
         self.links: dict[int, Link] = {}
-        self._adj: dict[str, dict[str, set[int]]] = {}
+        #: node → neighbour → ids of the links between them, ascending.
+        #: Link ids only grow, so appending keeps each tuple in id order.
+        self._adj: dict[str, dict[str, tuple[int, ...]]] = {}
         self._link_ids = itertools.count()
-        self._state_rev = 0
-
-    @property
-    def state_rev(self) -> int:
-        """Monotone counter bumped by every mutation that can change
-        reachability — construction (add/remove) and failure state.
-
-        Per-topology caches (path enumeration memoises operational
-        neighbour sets against this) compare revisions instead of
-        subscribing to events: a stale revision means recompute.
-        """
-        return self._state_rev
 
     # ------------------------------------------------------------------
     # construction
@@ -220,7 +210,6 @@ class Topology:
             raise TopologyError(f"duplicate node name {node.name!r}")
         self.nodes[node.name] = node
         self._adj[node.name] = {}
-        self._state_rev += 1
         return node
 
     def add_link(
@@ -241,21 +230,19 @@ class Topology:
                 raise TopologyError(f"unknown node {name!r}")
         link = Link(next(self._link_ids), a, b, capacity=capacity, attrs=attrs)
         self.links[link.link_id] = link
-        self._adj[a].setdefault(b, set()).add(link.link_id)
-        self._adj[b].setdefault(a, set()).add(link.link_id)
-        self._state_rev += 1
+        self._adj[a][b] = self._adj[a].get(b, ()) + (link.link_id,)
+        self._adj[b][a] = self._adj[b].get(a, ()) + (link.link_id,)
         return link
 
     def remove_link(self, link_id: int) -> None:
         """Permanently delete a link (used by rewiring builders, not failures)."""
         link = self.links.pop(link_id)
-        self._adj[link.a][link.b].discard(link_id)
-        if not self._adj[link.a][link.b]:
-            del self._adj[link.a][link.b]
-        self._adj[link.b][link.a].discard(link_id)
-        if not self._adj[link.b][link.a]:
-            del self._adj[link.b][link.a]
-        self._state_rev += 1
+        for a, b in ((link.a, link.b), (link.b, link.a)):
+            remaining = tuple(i for i in self._adj[a][b] if i != link_id)
+            if remaining:
+                self._adj[a][b] = remaining
+            else:
+                del self._adj[a][b]
 
     # ------------------------------------------------------------------
     # lookup
@@ -274,9 +261,14 @@ class Topology:
         """All neighbours, regardless of liveness."""
         return iter(self._adj[name])
 
+    def link_ids_between(self, a: str, b: str) -> tuple[int, ...]:
+        """Ids of all links (parallel included) between ``a`` and ``b``,
+        ascending."""
+        return self._adj.get(a, {}).get(b, ())
+
     def links_between(self, a: str, b: str) -> list[Link]:
-        """All links (parallel included) between ``a`` and ``b``."""
-        return [self.links[i] for i in self._adj.get(a, {}).get(b, ())]
+        """All links (parallel included) between ``a`` and ``b``, by id."""
+        return [self.links[i] for i in self.link_ids_between(a, b)]
 
     def links_of(self, name: str) -> Iterator[Link]:
         """All links incident to ``name``."""
@@ -318,19 +310,15 @@ class Topology:
 
     def fail_node(self, name: str) -> None:
         self.nodes[name].up = False
-        self._state_rev += 1
 
     def restore_node(self, name: str) -> None:
         self.nodes[name].up = True
-        self._state_rev += 1
 
     def fail_link(self, link_id: int) -> None:
         self.links[link_id].up = False
-        self._state_rev += 1
 
     def restore_link(self, link_id: int) -> None:
         self.links[link_id].up = True
-        self._state_rev += 1
 
     def node_is_up(self, name: str) -> bool:
         return self.nodes[name].up
@@ -371,7 +359,6 @@ class Topology:
             node.up = True
         for link in self.links.values():
             link.up = True
-        self._state_rev += 1
 
     # ------------------------------------------------------------------
     # interop & utilities

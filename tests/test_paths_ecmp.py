@@ -3,7 +3,7 @@
 import pytest
 
 from repro.routing import EcmpSelector, Path, enumerate_paths, flow_hash
-from repro.routing.paths import DirectedSegment, enumerate_edge_paths
+from repro.routing.paths import DirectedSegment
 from repro.topology import F10Tree, FatTree
 
 
@@ -59,7 +59,8 @@ class TestEnumeration:
         assert enumerate_paths(ft4, "H.0.0.0", "H.1.0.0", operational_only=True) == []
 
     def test_edge_paths_identity(self, ft4):
-        assert enumerate_edge_paths(ft4, "E.0.0", "E.0.0") == [("E.0.0",)]
+        view = EcmpSelector(ft4).static
+        assert view.middles("E.0.0", "E.0.0") == [("E.0.0",)]
 
 
 class TestPathObject:
@@ -78,13 +79,6 @@ class TestPathObject:
         p = enumerate_paths(ft4, "H.0.0.0", "H.1.0.0")[0]
         assert p.uses_node(p.nodes[3])
         assert not p.uses_node("C.9999")
-
-    def test_uses_link(self, ft4):
-        p = enumerate_paths(ft4, "H.0.0.0", "H.0.0.1")[0]
-        link = ft4.links_between("H.0.0.0", "E.0.0")[0]
-        assert p.uses_link(ft4, link.link_id)
-        other = ft4.links_between("H.1.0.0", "E.1.0")[0]
-        assert not p.uses_link(ft4, other.link_id)
 
     def test_is_operational_tracks_failures(self, ft4):
         p = enumerate_paths(ft4, "H.0.0.0", "H.1.0.0")[0]
