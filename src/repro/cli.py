@@ -671,7 +671,8 @@ def _serve_smoke(args) -> int:
     if result.get("wal"):
         wal = result["wal"]
         print(f"wal: {wal['path']}  records={wal['records']} "
-              f"commits={wal['commits']} incomplete={wal['incomplete']}")
+              f"commits={wal['commits']} incomplete={wal['incomplete']} "
+              f"syncs={wal['syncs']}")
     print("service smoke: OK")
     return 0
 
@@ -682,7 +683,9 @@ async def _smoke_http(args) -> dict:
 
     from repro.service import ServiceAPI, ServiceConfig
 
-    net, service = _build_service(args, ServiceConfig())
+    # No switch heartbeats here: a live boundary scan would condemn
+    # every one of them, so only the posted failure gets decided.
+    net, service = _build_service(args, ServiceConfig(scan_interval=3600.0))
     api = ServiceAPI(service, host=args.host, port=0)
     await service.start()
     await api.start()
@@ -694,11 +697,8 @@ async def _smoke_http(args) -> dict:
         )[0]
         health = await _http(api, "GET", "/healthz")
         assert health["status"] == "ok", health
-        posted = await _http(
-            api, "POST", "/failures", {"kind": "node", "logical": victim}
-        )
-        assert posted.get("accepted"), posted
-        # The decision must surface on the live JSONL event stream.
+        # The decision must surface on the live JSONL event stream, so
+        # subscribe (the headers arrive once it is) before posting.
         reader, writer = await asyncio.open_connection(api.host, api.port)
         writer.write(b"GET /events HTTP/1.1\r\nHost: x\r\n\r\n")
         await writer.drain()
@@ -706,6 +706,10 @@ async def _smoke_http(args) -> dict:
             line = await asyncio.wait_for(reader.readline(), timeout=10.0)
             if line in (b"\r\n", b"\n", b""):
                 break
+        posted = await _http(
+            api, "POST", "/failures", {"kind": "node", "logical": victim}
+        )
+        assert posted.get("accepted"), posted
         stream_seq = None
         while stream_seq is None:
             line = await asyncio.wait_for(reader.readline(), timeout=10.0)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import asyncio
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..core.controller import (
     EpochFencedError,
@@ -219,6 +220,19 @@ class FailoverDecision:
         }
 
 
+def _when_durable(
+    wal: DecisionWAL | None, callback: Callable[..., None]
+) -> Callable[..., None]:
+    """``callback``, deferred through ``wal.when_durable`` if logged."""
+    if wal is None:
+        return callback
+
+    def deferred(*args: object) -> None:
+        wal.when_durable(partial(callback, *args))
+
+    return deferred
+
+
 @dataclass
 class _Batch:
     """Work items accumulated since the resolver last woke."""
@@ -247,8 +261,10 @@ class FailureGroupResolver:
         self.controller = controller
         self.clock = clock
         self.batch_window = batch_window
-        self._on_decision = on_decision
-        self._on_error = on_error
+        # With a WAL, decisions and errors are published only once every
+        # record staged before them (their own commit included) is durable.
+        self._on_decision = _when_durable(wal, on_decision)
+        self._on_error = _when_durable(wal, on_error)
         self._on_fenced = on_fenced
         self.wal = wal
         self.federation = federation
@@ -311,11 +327,24 @@ class FailureGroupResolver:
         # flight, the remaining members fail the fence check instead of
         # landing as the deposed primary's late writes.
         epoch = self.federation.epoch if self.federation is not None else 0
+        keyed = [
+            (group_id, [(p, self._wal_seq(group_id, p)) for p in members])
+            for group_id, members in groups
+        ]
+        if self.wal is not None:
+            # Every intent of the batch is durable before the first
+            # commit, for one fsync.
+            for group_id, members in keyed:
+                for pending, seq in members:
+                    self.wal.append_intent(
+                        group_id, seq, epoch, pending.to_payload()
+                    )
+            self.wal.sync()
         tasks = [
             asyncio.ensure_future(
                 self._resolve_group(group_id, members, epoch)
             )
-            for group_id, members in groups
+            for group_id, members in keyed
         ]
         if tasks:
             await asyncio.gather(*tasks)
@@ -357,32 +386,27 @@ class FailureGroupResolver:
         return "+".join(sorted(parts)) or "hosts"
 
     async def _resolve_group(
-        self, group_id: str, members: list[PendingFailure], epoch: int = 0
+        self,
+        group_id: str,
+        members: list[tuple[PendingFailure, int]],
+        epoch: int = 0,
     ) -> None:
-        """Commit one group's failures in order.
+        """Commit one group's ``(failure, decision_seq)`` pairs in order.
 
         The commit itself is synchronous controller code (two-phase
         validate-then-commit plus the retry/degradation ladder); the
         ``sleep(0)`` between members keeps one exhausted group from
         starving the others of the event loop.
 
-        With a WAL attached each member is write-ahead logged: intents
-        for the whole group land *before* the first commit, every
-        commit is fence-checked against the batch epoch, and the commit
-        record is durable before the decision callback fires — so a
-        primary crash inside that callback can never lose the decision
-        it interrupts, and replaying an already-committed key is a
-        no-op rather than a double commit.
+        With a WAL attached every commit is fence-checked against the
+        batch epoch and logged, and its callback waits until the commit
+        record is durable.  The groups' tasks each take one turn per
+        loop pass, so a round of commits shares one fsync.  A primary
+        crash inside a decision callback can thus never lose the
+        decision it interrupts, and replaying an already-committed key
+        is a no-op rather than a double commit.
         """
-        keyed: list[tuple[PendingFailure, int]] = []
-        for pending in members:
-            seq = self._wal_seq(group_id, pending)
-            keyed.append((pending, seq))
-            if self.wal is not None:
-                self.wal.append_intent(
-                    group_id, seq, epoch, pending.to_payload()
-                )
-        for pending, seq in keyed:
+        for pending, seq in members:
             if self.wal is not None and self.wal.is_committed(group_id, seq):
                 # Idempotent replay: this key was durably decided by a
                 # previous incarnation (or an earlier duplicate submit).

@@ -299,9 +299,10 @@ class RecoveryService:
         # Armed ``service-primary-crash`` faults fire here — synchronously
         # inside the decision callback, i.e. genuinely mid-batch.  The
         # WAL commit for *this* decision already landed (the resolver
-        # appends before calling us), so the interrupted decision
-        # survives; the batch's remaining members get fenced and resumed
-        # under the new epoch.
+        # calls us only once it is logged, and with a file log only once
+        # it is fsynced), so the interrupted decision survives; members
+        # the batch has not committed yet get fenced and resumed under
+        # the new epoch.
         crashed = self.federation.note_decision()
         if crashed is not None:
             self.primary_crashes.append(

@@ -468,8 +468,10 @@ class TestServiceAPI:
             )
             return slot, listed, metrics
 
+        # Park the boundary scan: no switch heartbeats in this test, so a
+        # scan at the first probe boundary would condemn all of them.
         slot, (status, listed), (mstatus, metrics) = self.run_with_api(
-            scenario
+            scenario, config=ServiceConfig(scan_interval=3600.0)
         )
         assert status == 200
         assert listed["total"] == 1
