@@ -127,8 +127,7 @@ def _round(allocator, samples):
 
 def _merge_bench(update):
     """Read-modify-write ``BENCH_engine.json``: each test owns its keys
-    and everything else (other rounds, the ``primitives`` map the
-    microperf session hook maintains) survives."""
+    and every other round survives."""
     try:
         payload = json.loads(BENCH_JSON.read_text())
     except (OSError, ValueError):

@@ -8,12 +8,6 @@ over the default targets) twice against a fresh cache directory:
   incremental cache replays per-file diagnostics and the project model
   is linked from cached summaries.
 
-A second, smaller **numeric** round lints just ``src/repro/simulation``
-(per-file pass only): the numeric kernel analyzer (NUM001–NUM003 fact
-extraction) runs during summarisation on every parse, so this round
-tracks what it adds to a cold parse of the package that owns the
-kernels — and that a warm run replays the facts without re-parsing.
-
 The artifact lands at the repo root as ``BENCH_lint.json`` and the
 script exits non-zero when the warm run exceeds the budget — CI wires
 this into the lint job so a regression that breaks cache replay (or
@@ -48,18 +42,13 @@ BENCH_JSON = REPO_ROOT / "BENCH_lint.json"
 DEFAULT_BUDGET_S = 10.0
 
 
-def _timed_lint(
-    cache_dir: Path,
-    targets: list[Path] | None = None,
-    project: bool = True,
-) -> tuple[float, object]:
+def _timed_lint(cache_dir: Path) -> tuple[float, object]:
     from repro.checks import lint_paths
 
-    if targets is None:
-        targets = [REPO_ROOT / "src" / "repro", REPO_ROOT / "benchmarks"]
+    targets = [REPO_ROOT / "src" / "repro", REPO_ROOT / "benchmarks"]
     targets = [t for t in targets if t.exists()]
     start = time.perf_counter()
-    result = lint_paths(targets, cache_dir=cache_dir, project=project)
+    result = lint_paths(targets, cache_dir=cache_dir)
     return time.perf_counter() - start, result
 
 
@@ -69,27 +58,12 @@ def run(budget_s: float, output: Path) -> int:
         cold_s, cold = _timed_lint(cache_dir)
         warm_s, warm = _timed_lint(cache_dir)
 
-    # Numeric round: the simulation package alone, per-file pass only.
-    # Kernel fact extraction (the numeric abstract interpreter) runs
-    # inside summarize() on every parse, so the cold number isolates
-    # what NUM analysis adds to the package that owns the kernels, and
-    # the warm number proves the facts replay from cache.
-    with tempfile.TemporaryDirectory(prefix="repro-bench-lint-num-") as tmp:
-        cache_dir = Path(tmp) / "numeric-cache"
-        sim = [REPO_ROOT / "src" / "repro" / "simulation"]
-        num_cold_s, num_cold = _timed_lint(cache_dir, sim, project=False)
-        num_warm_s, num_warm = _timed_lint(cache_dir, sim, project=False)
-
-    failed = False
-    for label, stats in (("warm", warm.stats), ("numeric warm", num_warm.stats)):
-        if stats.parsed_files != 0:
-            print(
-                f"FAIL: {label} lint parsed {stats.parsed_files} files; "
-                "the incremental cache is not replaying",
-                file=sys.stderr,
-            )
-            failed = True
-    if failed:
+    if warm.stats.parsed_files != 0:
+        print(
+            f"FAIL: warm lint parsed {warm.stats.parsed_files} files; "
+            "the incremental cache is not replaying",
+            file=sys.stderr,
+        )
         return 1
 
     within_budget = warm_s <= budget_s
@@ -101,20 +75,6 @@ def run(budget_s: float, output: Path) -> int:
         "warm": {"wall_s": round(warm_s, 4), **warm.stats.as_dict()},
         "diagnostics": len(warm.diagnostics),
         "speedup": round(cold_s / warm_s, 2) if warm_s > 0 else None,
-        "numeric": {
-            "targets": "src/repro/simulation",
-            "cold": {
-                "wall_s": round(num_cold_s, 4),
-                **num_cold.stats.as_dict(),
-            },
-            "warm": {
-                "wall_s": round(num_warm_s, 4),
-                **num_warm.stats.as_dict(),
-            },
-            "speedup": (
-                round(num_cold_s / num_warm_s, 2) if num_warm_s > 0 else None
-            ),
-        },
     }
     output.write_text(json.dumps(artifact, indent=2) + "\n", encoding="utf-8")
 
@@ -124,11 +84,6 @@ def run(budget_s: float, output: Path) -> int:
         f"warm {warm_s * 1000:.0f} ms (0 parsed), "
         f"budget {budget_s:.1f} s -> "
         + ("OK" if within_budget else "OVER BUDGET")
-    )
-    print(
-        f"numeric round (simulation pkg): cold {num_cold_s * 1000:.0f} ms "
-        f"({num_cold.stats.parsed_files} files parsed), "
-        f"warm {num_warm_s * 1000:.0f} ms (0 parsed)"
     )
     if not within_budget:
         print(

@@ -4,9 +4,10 @@ Unlike the experiment benches (one-shot pedantic runs that regenerate the
 paper's artifacts), these exercise pytest-benchmark properly — many
 rounds, statistics — over the primitives that dominate reproduction
 runtime: the max-min allocator, ECMP selection, circuit failover, path
-enumeration, and combined-table lookup.  They guard against performance
-regressions (the allocator once cost 2.6× end-to-end before its segment
-hash was fixed; see docs/simulator.md).
+enumeration, and combined-table lookup.  Their timings are reported,
+not gated or recorded: run them to spot a regression by hand (the
+allocator once cost 2.6× end-to-end before its segment hash was fixed;
+see docs/simulator.md).
 """
 
 import numpy as np

@@ -28,7 +28,6 @@ DESIGN.md's per-experiment index).  Conventions:
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,38 +35,6 @@ from pathlib import Path
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
-BENCH_ENGINE_JSON = Path(__file__).parent.parent / "BENCH_engine.json"
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """Fold measured micro-benchmark medians into ``BENCH_engine.json``.
-
-    After any timed run of ``bench_microperf.py`` the per-primitive
-    median wall-clocks are merged into the ``primitives`` block of the
-    repo-root artifact (the end-to-end replay block is written by
-    ``bench_engine_replay.py`` itself).  Under ``--benchmark-disable``
-    no stats exist and the artifact is left untouched.
-    """
-    session = getattr(config, "_benchmarksession", None)
-    if session is None:
-        return
-    primitives = {}
-    for bench in session.benchmarks:
-        fullname = getattr(bench, "fullname", "")
-        stats = getattr(bench, "stats", None)
-        if "bench_microperf" not in fullname or stats is None:
-            continue
-        primitives[bench.name] = {"median_s": round(stats.median, 9)}
-    if not primitives:
-        return
-    try:
-        payload = json.loads(BENCH_ENGINE_JSON.read_text())
-    except (OSError, json.JSONDecodeError):
-        payload = {}
-    payload.setdefault("primitives", {}).update(primitives)
-    BENCH_ENGINE_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
 
 
 @dataclass(frozen=True)

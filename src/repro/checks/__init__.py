@@ -63,7 +63,6 @@ from .engine import (
     iter_source_files,
     lint_paths,
 )
-from .numeric import NumericIssue, NumericSummary, analyze_kernels
 from .project import ProjectModel
 from .registry import (
     ProjectRule,
@@ -101,15 +100,12 @@ __all__ = [
     "LintCache",
     "LintResult",
     "LintStats",
-    "NumericIssue",
-    "NumericSummary",
     "ProjectModel",
     "ProjectRule",
     "Rule",
     "SYNTAX_ERROR_CODE",
     "all_rule_codes",
     "all_rules",
-    "analyze_kernels",
     "build_cfg",
     "category_for",
     "changed_source_files",

@@ -39,7 +39,6 @@ from .concurrency import (
     module_global_names,
 )
 from .context import FileContext
-from .numeric import NumericSummary, analyze_kernels
 from .rules.controlplane import _ALWAYS_FLAGGED, _CS_ONLY_FLAGGED, _looks_like_cs
 from .rules.process import _non_json_nodes, _payload_expressions
 from .rules.rng import _accepts_seed, _is_draw, _threads_seed_state
@@ -189,8 +188,6 @@ class FunctionSummary:
     is_async: bool = False
     #: Present only for ``async def`` — the concurrency-rule facts.
     concurrency: ConcurrencySummary | None = None
-    #: Present only for ``@kernel`` functions — the numeric-rule facts.
-    numeric: NumericSummary | None = None
 
     def to_json(self) -> dict[str, object]:
         return {
@@ -213,16 +210,12 @@ class FunctionSummary:
             "concurrency": (
                 None if self.concurrency is None else self.concurrency.to_json()
             ),
-            "numeric": (
-                None if self.numeric is None else self.numeric.to_json()
-            ),
         }
 
     @classmethod
     def from_json(cls, data: dict[str, object]) -> "FunctionSummary":
         raw_cls = data["cls"]
         raw_concurrency = data.get("concurrency")
-        raw_numeric = data.get("numeric")
         return cls(
             qualname=str(data["qualname"]),
             cls=None if raw_cls is None else str(raw_cls),
@@ -258,11 +251,6 @@ class FunctionSummary:
                 None
                 if raw_concurrency is None
                 else ConcurrencySummary.from_json(_d(raw_concurrency))
-            ),
-            numeric=(
-                None
-                if raw_numeric is None
-                else NumericSummary.from_json(_d(raw_numeric))
             ),
         )
 
@@ -592,9 +580,6 @@ def _collect_refs(tree: ast.Module) -> set[str]:
 
 def _summarize_functions(ctx: FileContext) -> Iterator[FunctionSummary]:
     module_globals = module_global_names(ctx.tree)
-    # ``name -> NumericSummary`` for the file's @kernel functions; empty
-    # for the (vast) majority of files with no registered kernels.
-    kernel_facts = analyze_kernels(ctx)
     for stmt in ctx.tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield _summarize_function(
@@ -602,7 +587,6 @@ def _summarize_functions(ctx: FileContext) -> Iterator[FunctionSummary]:
                 stmt,
                 cls=None,
                 module_globals=module_globals,
-                numeric=kernel_facts.get(stmt.name),
             )
         elif isinstance(stmt, ast.ClassDef):
             lock_names = lock_attribute_names(stmt, ctx.resolve)
@@ -623,7 +607,6 @@ def _summarize_function(
     cls: str | None,
     module_globals: frozenset[str] = frozenset(),
     lock_names: frozenset[str] = frozenset(),
-    numeric: NumericSummary | None = None,
 ) -> FunctionSummary:
     params = tuple(
         arg.arg
@@ -724,7 +707,6 @@ def _summarize_function(
         mutates_circuit=mutates_circuit,
         is_async=is_async,
         concurrency=concurrency,
-        numeric=numeric,
     )
 
 

@@ -22,10 +22,7 @@
 * :mod:`.interproc` — whole-program rules over the linked project
   model: transitive seed taint (RNG010), payload reachability
   (PROC010), helper circuit mutation (CHS010), import cycles (IMP001),
-  dead exports (DEAD001);
-* :mod:`.numeric` — numeric contracts of the ``@kernel`` water-fill
-  core: silent dtype narrowing (NUM001), shape incompatibility
-  (NUM002), aliasing hazards on in-place passes (NUM003).
+  dead exports (DEAD001).
 
 Importing a module registers its rules as a side effect of the
 ``@register`` / ``@register_project`` decorators.  A module listed in
@@ -41,7 +38,6 @@ from . import (
     determinism,
     exceptions,
     interproc,
-    numeric,
     perf,
     process,
     rng,
@@ -54,7 +50,6 @@ __all__ = [
     "determinism",
     "exceptions",
     "interproc",
-    "numeric",
     "perf",
     "process",
     "rng",

@@ -16,7 +16,6 @@ from .engine import (
 from .events import Event, EventQueue, SimClock
 from .fairshare import FairShareError, allocate_dense, max_min_rates
 from .flow import CoflowSpec, FlowPhase, FlowSpec, FlowState
-from .kernels import KERNEL_REGISTRY, KernelSpec, kernel
 from .monitor import SimMonitor, UtilizationMonitor, UtilizationReport
 from .packetsim import PacketFlow, PacketLevelSimulator
 
@@ -33,8 +32,6 @@ __all__ = [
     "FlowSpec",
     "FlowState",
     "FluidSimulation",
-    "KERNEL_REGISTRY",
-    "KernelSpec",
     "SimClock",
     "PacketFlow",
     "PacketLevelSimulator",
@@ -43,6 +40,5 @@ __all__ = [
     "UtilizationReport",
     "SimulationResult",
     "allocate_dense",
-    "kernel",
     "max_min_rates",
 ]

@@ -45,8 +45,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .kernels import kernel
-
 __all__ = ["ColumnarWorkspace", "FlowTable", "waterfill", "pack_paths"]
 
 _INF = float("inf")
@@ -77,9 +75,8 @@ class ColumnarWorkspace:
         size = num_segments + 1
         # Three independent buffers, deliberately *not* views of one
         # fused block: the water-fill kernel's separability argument
-        # (and the NUM003 aliasing rule that polices it) requires that
-        # an in-place write to one vector can never be observed through
-        # a read of another.
+        # requires that an in-place write to one vector can never be
+        # observed through a read of another.
         self.remaining = np.empty(size, dtype=np.float64)
         self.counts = np.empty(size, dtype=np.float64)
         self.share = np.empty(size, dtype=np.float64)
@@ -164,15 +161,6 @@ def waterfill(
     return rates
 
 
-@kernel(
-    arrays={
-        "seg_matrix": ("int64", ("rows", "width")),
-        "remaining": ("float64", ("segments+1",)),
-        "counts": ("float64", ("segments+1",)),
-        "share": ("float64", ("segments+1",)),
-        "rates": ("float64", ("rows",)),
-    },
-)
 def _waterfill_passes(
     seg_matrix: np.ndarray,
     remaining: np.ndarray,
@@ -182,14 +170,17 @@ def _waterfill_passes(
 ) -> None:
     """The ripe-pass loop over plain arrays.
 
+    Arrays: ``seg_matrix`` int64 ``(rows, width)``; ``remaining``,
+    ``counts`` and ``share`` float64 ``(segments + 1,)``; ``rates``
+    float64 ``(rows,)``.
+
     ``remaining``/``counts`` arrive initialised (sentinel slot last,
     dead counts already clamped); ``share`` is scratch and ``rates`` is
     filled in place, one slot per row.  Everything object-shaped —
     workspace management, compaction, incidence bookkeeping — stays in
     :func:`waterfill`; this function touches nothing but the arrays it
-    is handed, so its declared ``@kernel`` contract (checked by
-    NUM001–NUM003, :mod:`repro.checks.numeric`) covers all of its
-    state.
+    is handed, so the bitwise properties against the scalar core
+    (``tests/test_fairshare_properties.py``) exercise all of its state.
     """
     rows, width = seg_matrix.shape
     num_segments = remaining.shape[0] - 1
@@ -228,12 +219,11 @@ def _waterfill_passes(
         alive_rows = alive_rows[keep]
 
 
-@kernel(
-    arrays={"matrix": ("float64", ("rows", "width"))},
-    returns=("float64", ("rows",)),
-)
 def _column_min(matrix: np.ndarray) -> np.ndarray:
     """Column-unrolled row minimum: exact and order-free under IEEE-754.
+
+    Arrays: ``matrix`` float64 ``(rows, width)`` → float64 ``(rows,)``,
+    a fresh array (the first column is copied, never a view).
 
     ``width - 1`` in-place ufunc calls, each writing a contiguous 1-D
     accumulator — measurably faster in situ than pairwise halving trees
@@ -247,12 +237,11 @@ def _column_min(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-@kernel(
-    arrays={"matrix": ("bool", ("rows", "width"))},
-    returns=("bool", ("rows",)),
-)
 def _column_any(matrix: np.ndarray) -> np.ndarray:
-    """Column-unrolled row logical-or, same unroll as :func:`_column_min`."""
+    """Column-unrolled row logical-or, same unroll as :func:`_column_min`.
+
+    Arrays: ``matrix`` bool ``(rows, width)`` → bool ``(rows,)``, fresh.
+    """
     out = matrix[:, 0].copy()
     for column in range(1, matrix.shape[1]):
         np.logical_or(out, matrix[:, column], out=out)

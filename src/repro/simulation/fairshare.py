@@ -63,8 +63,6 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Mapping, Sequence
 
-from .kernels import kernel
-
 __all__ = [
     "max_min_rates",
     "allocate_dense",
@@ -99,7 +97,6 @@ class AllocatorWorkspace:
         self.delta: list[float] = [0.0] * num_segments
 
 
-@kernel()
 def _solve_component(
     comp_segs: list[int],
     comp_flows: list[int],
@@ -113,6 +110,9 @@ def _solve_component(
     delta: list[float],
 ) -> None:
     """Ripe-pass progressive filling over one connected component.
+
+    Lists: ``remaining``/``share``/``delta`` float and ``counts``/
+    ``tightcnt`` int, one slot per segment; ``rates`` float per flow.
 
     ``comp_flows`` must be the component's flow indices in ascending
     problem order — the order fixes the per-segment delta accumulation

@@ -46,7 +46,6 @@ EXPECTED_CODES = {
 PROJECT_CODES = {
     "RNG010", "PROC010", "CHS010", "IMP001", "DEAD001",
     "SVC010", "SVC011", "SVC012", "SVC013",
-    "NUM001", "NUM002", "NUM003",
 }
 
 

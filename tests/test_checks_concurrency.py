@@ -14,8 +14,9 @@ Five layers, mirroring the architecture:
   stale-write candidate gains a witness;
 * mutation-level: seeded interleaving bugs injected into the *real*
   ``repro.service`` sources (a sequence counter split across an await;
-  a leaked ``ensure_future``) must be flagged by the new rules, and the
-  unmutated sources must stay clean;
+  a leaked ``ensure_future``; a lock held across a queue ``get``; a
+  module-level list appended to by a resolver coroutine) must be
+  flagged by the new rules, and the unmutated sources must stay clean;
 * pipeline-level: scope filtering, noqa auditability, warm-cache
   replay of concurrency facts, SARIF catalogue coverage, and the
   ``repro lint --changed`` git-scoped fast path.
@@ -944,6 +945,42 @@ class TestSeededBugMutations:
             _service_model(**{"repro.service.service": buggy})
         )
         assert "SVC011" in codes
+
+    def test_lock_held_across_report_get_is_flagged(self):
+        source = _real_source("service.py")
+        init_anchor = "        self.reports = ProbeQueue(\n"
+        loop_anchor = "            probe = await self.reports.get()\n"
+        assert init_anchor in source, "service __init__ moved; update test"
+        assert loop_anchor in source, "service report loop moved; update test"
+        buggy = source.replace(
+            init_anchor,
+            "        self._report_lock = asyncio.Lock()\n" + init_anchor,
+        ).replace(
+            loop_anchor,
+            "            async with self._report_lock:\n"
+            "                probe = await self.reports.get()\n",
+        )
+        codes = rule_codes(
+            _service_model(**{"repro.service.service": buggy})
+        )
+        assert codes == ["SVC012"]
+
+    def test_resolver_appending_to_module_list_is_flagged(self):
+        source = _real_source("resolver.py")
+        global_anchor = '    "report_outcome",\n]\n'
+        commit_anchor = "            self._on_decision(decision)\n"
+        assert global_anchor in source, "resolver __all__ moved; update test"
+        assert commit_anchor in source, "resolver commit moved; update test"
+        buggy = source.replace(
+            global_anchor, global_anchor + "\n_DECIDED_GROUPS = []\n"
+        ).replace(
+            commit_anchor,
+            "            _DECIDED_GROUPS.append(group_id)\n" + commit_anchor,
+        )
+        codes = rule_codes(
+            _service_model(**{"repro.service.resolver": buggy})
+        )
+        assert codes == ["SVC013"]
 
 
 # ----------------------------------------------------------------------

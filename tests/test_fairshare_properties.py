@@ -15,7 +15,7 @@ event.
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.simulation import allocate_dense, max_min_rates
 from repro.simulation.columnar import (
@@ -239,7 +239,19 @@ def columnar_setup(problem):
     return pairs, caps_arr, matrix
 
 
+# Shrunk counterexamples of three kernel hazards, pinned so the guard
+# does not depend on random search: a float32 share buffer, ``level``
+# broadcast without ``[:, None]``, and ``_column_min`` returning a view
+# of its input instead of a copy.
 @given(allocation_problems())
+@example(problem=({0: ["S0"]}, {"S0": 1.887406177768348}))
+@example(
+    problem=(
+        {0: ["S0"], 1: ["S0"], 2: ["S0", "S1"]},
+        {"S0": 1.0, "S1": 1.0},
+    )
+)
+@example(problem=({0: ["S0", "S1"], 1: ["S0"]}, {"S0": 3.0, "S1": 1.0}))
 @settings(max_examples=200, deadline=None)
 def test_waterfill_matches_scalar_core_bitwise(problem):
     """The batched kernel reproduces allocate_dense to the last bit —

@@ -9,9 +9,8 @@ silent drift.
 
 The fixture repository seeds exactly one finding in each rule family:
 ``RNG001`` (module-global draw), ``PROC001`` (lambda to a process
-pool), ``SVC001`` (blocking call in a coroutine), ``PERF002``
-(per-element loop in the columnar core), and ``NUM001`` (dtype
-narrowing in a ``@kernel``).
+pool), ``SVC001`` (blocking call in a coroutine), and ``PERF002``
+(per-element loop in the columnar core).
 
 To regenerate after an intentional change::
 
@@ -53,30 +52,17 @@ FIXTURE_FILES = {
         async def _drain() -> None:
             time.sleep(0.1)
         """,
-    # PERF002 (per-element loop) + NUM001 (float64 into int64 out=).
+    # PERF002: a per-element loop in the columnar core.
     "src/repro/simulation/columnar.py": """\
-        import numpy as np
-
-        from repro.simulation.kernels import kernel
-
-
         def _total(rows):
             total = 0
             for row in rows:
                 total += row
             return total
-
-
-        @kernel(arrays={
-            "counts": ("int64", ("segments",)),
-            "out": ("int64", ("segments",)),
-        })
-        def _halve(counts, out):
-            np.divide(counts, 2.0, out=out)
         """,
 }
 
-SEEDED_CODES = {"RNG001", "PROC001", "SVC001", "PERF002", "NUM001"}
+SEEDED_CODES = {"RNG001", "PROC001", "SVC001", "PERF002"}
 
 
 def _build_fixture(tmp_path: Path) -> Path:
@@ -92,7 +78,7 @@ def test_sarif_snapshot_one_finding_per_family(tmp_path):
     result = lint_paths([src], use_cache=False)
 
     # The fixture must stay honest before the snapshot means anything:
-    # exactly the five seeded families, one finding each.
+    # exactly the four seeded families, one finding each.
     assert {d.code for d in result.diagnostics} == SEEDED_CODES
     assert len(result.diagnostics) == len(SEEDED_CODES)
 
