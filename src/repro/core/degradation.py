@@ -26,7 +26,7 @@ can audit *why* each recovery ended where it did.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 __all__ = ["DegradationStep", "DegradationReport"]
 
@@ -54,7 +54,16 @@ class DegradationStep:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # Explicit and in field order (``/events`` writes it unsorted): a
+        # generic deep copy of every field dominated publishing a wave's
+        # degradation events.
+        return {
+            "action": self.action,
+            "target": self.target,
+            "attempts": self.attempts,
+            "outcome": self.outcome,
+            "detail": self.detail,
+        }
 
 
 @dataclass(frozen=True)

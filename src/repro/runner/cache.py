@@ -54,7 +54,12 @@ def cache_key(
     version: int = CACHE_VERSION,
     engine_rev: int | None = None,
 ) -> str:
-    """The content address of one task."""
+    """The content address of one task.
+
+    ``payload`` must be plain JSON: anything else (a set, a callable, a
+    numpy scalar) raises :class:`TypeError` rather than being stringified
+    into a key that differs between interpreters.
+    """
     canonical = json.dumps(
         {
             "engine_rev": _engine_rev() if engine_rev is None else engine_rev,
@@ -64,7 +69,6 @@ def cache_key(
         },
         sort_keys=True,
         separators=(",", ":"),
-        default=str,
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

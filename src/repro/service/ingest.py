@@ -3,8 +3,10 @@
 The service's front door.  Heartbeats and failure reports arrive as
 :class:`Probe` values through :meth:`ProbeQueue.offer` — a synchronous,
 non-blocking call usable from HTTP handlers, replay timers, and load
-generators alike — and are consumed by the service's ingest coroutine
-via :meth:`ProbeQueue.get`.
+generators alike — and are consumed by the service's ingest coroutines
+via :meth:`ProbeQueue.get`, then :meth:`ProbeQueue.get_nowait` (one at
+a time: failure reports) or :meth:`ProbeQueue.drain` (the whole
+backlog at once: heartbeats).
 
 Backpressure is a *policy*, not an accident (the van Adrichem/Capone
 controller lineage: a controller that falls behind must shed load
@@ -165,7 +167,11 @@ class ProbeQueue:
     controller that blocks its own probe ingestion deadlocks the very
     failure detector it exists to serve.  ``get`` is the awaitable
     consumer side; a single consumer is assumed (the service's ingest
-    loop), though nothing breaks with several.
+    loop), though nothing breaks with several.  ``get_nowait`` pops one
+    queued probe and ``drain`` pops the whole backlog; every consumer
+    path (a direct hand-off to a parked ``get`` included) books what it
+    takes as ``dequeued``, so ``submitted == counters.accounted(len(q))``
+    holds after every call.
     """
 
     def __init__(self, maxsize: int, policy: str = "drop-oldest") -> None:
@@ -192,13 +198,14 @@ class ProbeQueue:
     def offer(self, item: Probe) -> bool:
         """Submit one probe; ``False`` means the policy rejected it."""
         self.counters.submitted += 1
-        waiter = self._next_waiter()
-        if waiter is not None:
-            # Direct hand-off to a parked consumer: the item never
-            # occupies a queue slot, but it still counts as dequeued.
-            self.counters.dequeued += 1
-            waiter.set_result(item)
-            return True
+        if self._waiters:
+            waiter = self._next_waiter()
+            if waiter is not None:
+                # Direct hand-off to a parked consumer: the item never
+                # occupies a queue slot, but it still counts as dequeued.
+                self.counters.dequeued += 1
+                waiter.set_result(item)
+                return True
         if len(self._items) >= self.maxsize:
             if self.policy == "reject":
                 self.counters.rejected += 1
@@ -225,6 +232,18 @@ class ProbeQueue:
             return None
         self.counters.dequeued += 1
         return self._items.popleft()
+
+    def drain(self) -> deque[Probe]:
+        """Pop every queued probe at once, in FIFO order.
+
+        The bulk form of :meth:`get_nowait`: the whole backlog is booked
+        as ``dequeued`` in one step, so the conservation law holds after
+        the call exactly as after that many single pops.
+        """
+        items = self._items
+        self._items = deque()
+        self.counters.dequeued += len(items)
+        return items
 
     def _next_waiter(self) -> asyncio.Future[Probe] | None:
         while self._waiters:

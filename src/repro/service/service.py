@@ -27,7 +27,10 @@ from __future__ import annotations
 
 import asyncio
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from itertools import chain
+from typing import cast
 
 from ..core.controller import (
     ControllerCluster,
@@ -38,7 +41,7 @@ from .clock import ServiceClock, WallClock
 from .events import EventBus
 from .federation import ServiceFederation
 from .fleet import FleetRegistry
-from .ingest import FailureReport, Heartbeat, ProbeQueue
+from .ingest import FailureReport, Heartbeat, Probe, ProbeQueue
 from .resolver import FailoverDecision, FailureGroupResolver, PendingFailure
 from .wal import DecisionWAL
 
@@ -205,17 +208,14 @@ class RecoveryService:
     async def _heartbeat_loop(self) -> None:
         """Drain the heartbeat queue greedily.
 
-        After the first await each pass empties the whole backlog, so a
-        single settle round observes every heartbeat submitted at the
-        current instant — the property the boundary scan's determinism
-        rests on.
+        After the first await each pass empties the whole backlog in one
+        synchronous step, so a single settle round observes every
+        heartbeat submitted at the current instant — the property the
+        boundary scan's determinism rests on.
         """
         while True:
-            probe = await self.heartbeats.get()
-            while probe is not None:
-                assert isinstance(probe, Heartbeat)
-                self._handle_heartbeat(probe)
-                probe = self.heartbeats.get_nowait()  # type: ignore[assignment]
+            first = await self.heartbeats.get()
+            self._handle_heartbeats(first, self.heartbeats.drain())
 
     async def _report_loop(self) -> None:
         """Drain failure reports into the resolver, greedily."""
@@ -228,17 +228,31 @@ class RecoveryService:
                 )
                 probe = self.reports.get_nowait()  # type: ignore[assignment]
 
-    def _handle_heartbeat(self, heartbeat: Heartbeat) -> None:
+    def _handle_heartbeats(
+        self, first: Probe, rest: Iterable[Probe]
+    ) -> None:
+        """Record one drain's heartbeats, all stamped with one reading.
+
+        The clock is read once per drain, not once per heartbeat: under
+        :class:`VirtualClock` time cannot move inside this synchronous
+        pass, so the stamp is the one each heartbeat always got; under
+        :class:`WallClock` it is the drain's start, which follows every
+        drained heartbeat's submission.
+        """
         now = self.clock.now()
-        if heartbeat.switch not in self.controller.net.physical_health:
-            # Not a switch the controller owns: a synthetic fleet member
-            # (load generation) — track it service-side.
-            self.fleet.record(heartbeat.switch, now)
-            return
-        self.controller.heartbeat(heartbeat.switch, now)
-        # A switch heartbeating again after a spurious failover
-        # (heartbeat loss) is eligible for future detection.
-        self._handled.discard(heartbeat.switch)
+        owned = self.controller.net.physical_health
+        record = self.fleet.record
+        for heartbeat in cast("Iterable[Heartbeat]", chain((first,), rest)):
+            switch = heartbeat.switch
+            if switch not in owned:
+                # Not a switch the controller owns: a synthetic fleet
+                # member (load generation) — track it service-side.
+                record(switch, now)
+                continue
+            self.controller.heartbeat(switch, now)
+            # A switch heartbeating again after a spurious failover
+            # (heartbeat loss) is eligible for future detection.
+            self._handled.discard(switch)
 
     async def _scan_loop(self) -> None:
         """Run the keep-alive detector at every probe boundary.

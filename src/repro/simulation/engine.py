@@ -201,15 +201,16 @@ class FluidSimulation:
         self._coflow_pending: dict[int, int] = {}
         self._coflow_spec: dict[int, CoflowSpec] = {}
         self._initial_hops: dict[int, Optional[int]] = {}
-        self._capacities: dict[DirectedSegment, float] = self._build_capacities()
-        # Static interning: every directed segment the topology can ever
-        # offer gets a dense id here, so the hot path never hashes a
-        # DirectedSegment again.
-        self._seg_id: dict[DirectedSegment, int] = {}
-        self._caps_dense: list[float] = []
-        for seg, cap in self._capacities.items():
-            self._seg_id[seg] = len(self._caps_dense)
-            self._caps_dense.append(cap)
+        # Static interning: link i's two directions are dense segment ids
+        # 2i (forward) and 2i + 1, so the hot path never hashes a
+        # DirectedSegment and set-up never builds one.
+        links = list(topo.links.values())
+        self._link_pos: dict[int, int] = {
+            link.link_id: pos for pos, link in enumerate(links)
+        }
+        self._caps_dense: list[float] = [
+            cap for link in links for cap in (link.capacity, link.capacity)
+        ]
         if self.allocator == "oracle":
             self._alloc_ws = AllocatorWorkspace(len(self._caps_dense))
         else:
@@ -419,12 +420,14 @@ class FluidSimulation:
         self._dirty[fid] = None
 
     def _dense_path(self, segments: tuple[DirectedSegment, ...]) -> tuple[int, ...]:
-        seg_id = self._seg_id
+        link_pos = self._link_pos
         try:
-            return tuple(seg_id[s] for s in segments)
+            return tuple(
+                2 * link_pos[s.link_id] + (not s.forward) for s in segments
+            )
         except KeyError as exc:
             raise FairShareError(
-                f"segment {exc.args[0]!r} has no capacity entry"
+                f"link {exc.args[0]!r} has no capacity entry"
             ) from None
 
     def _reallocate(self) -> None:
@@ -687,10 +690,3 @@ class FluidSimulation:
             events_processed=self._events_processed,
             reallocations=self._reallocations,
         )
-
-    def _build_capacities(self) -> dict[DirectedSegment, float]:
-        caps: dict[DirectedSegment, float] = {}
-        for link in self.topo.links.values():
-            caps[DirectedSegment(link.link_id, True)] = link.capacity
-            caps[DirectedSegment(link.link_id, False)] = link.capacity
-        return caps

@@ -6,7 +6,12 @@ pools strand — and the hardened ladder, where the same situations
 degrade to global optimal rerouting with an auditable trail.
 """
 
+import json
+from dataclasses import asdict
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core import (
     ControllerCluster,
@@ -99,6 +104,42 @@ class TestDegradationRecords:
             outcome="rerouted",
         )
         assert DegradationReport.from_dict(report.to_dict()) == report
+
+
+steps = st.builds(
+    DegradationStep,
+    action=st.sampled_from(["assign-backup", "allocate-backup", "reroute"]),
+    target=st.text(max_size=12),
+    attempts=st.integers(min_value=0, max_value=2**40),
+    outcome=st.sampled_from(["ok", "failed", "exhausted", "skipped"]),
+    detail=st.text(max_size=40),
+)
+reports = st.builds(
+    DegradationReport,
+    kind=st.sampled_from(["node", "link"]),
+    logical=st.text(max_size=12),
+    time=st.floats(allow_nan=False),
+    steps=st.lists(steps, max_size=4).map(tuple),
+    outcome=st.sampled_from(["recovered", "rerouted", "stranded"]),
+)
+
+
+@given(reports)
+@settings(max_examples=200, deadline=None)
+def test_to_dict_matches_the_generic_form_in_order(report):
+    """The hand-built dicts equal the dataclass-generic ones, key order
+    included (``/events`` serialises them unsorted), and round-trip."""
+    reference = {
+        "kind": report.kind,
+        "logical": report.logical,
+        "time": report.time,
+        "outcome": report.outcome,
+        "steps": [asdict(step) for step in report.steps],
+    }
+    built = report.to_dict()
+    assert built == reference
+    assert json.dumps(built) == json.dumps(reference)
+    assert DegradationReport.from_dict(built) == report
 
 
 # ----------------------------------------------------------------------

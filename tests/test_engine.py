@@ -7,7 +7,8 @@ from repro.routing import (
     GlobalOptimalRerouteRouter,
     StaticEcmpRouter,
 )
-from repro.simulation import CoflowSpec, FlowSpec, FluidSimulation
+from repro.routing.paths import DirectedSegment
+from repro.simulation import CoflowSpec, FairShareError, FlowSpec, FluidSimulation
 from repro.topology import FatTree
 
 GBIT = 1.25e8  # bytes in one Gbit
@@ -37,6 +38,33 @@ class TestSpecValidation:
     def test_coflow_width_and_bytes(self):
         c = coflow(1, 0.0, FlowSpec(1, 1, "a", "b", 10), FlowSpec(2, 1, "c", "d", 20))
         assert c.width == 2 and c.total_bytes == 30
+
+
+class TestSegmentInterning:
+    def test_every_link_direction_maps_to_its_own_capacity(self):
+        t = FatTree(4)
+        t.remove_link(next(iter(t.links)))  # link ids need not be dense
+        for index, link in enumerate(t.links.values()):
+            link.capacity = float(index + 1)  # distinct: a wrong id shows
+        sim = FluidSimulation(t, StaticEcmpRouter(t), [])
+        segments = tuple(
+            DirectedSegment(link.link_id, forward)
+            for link in t.links.values()
+            for forward in (True, False)
+        )
+        ids = sim._dense_path(segments)
+        # Link i's forward direction is id 2i and its reverse 2i + 1.
+        assert ids == tuple(range(2 * len(t.links)))
+        assert [sim._caps_dense[i] for i in ids] == [
+            link.capacity for link in t.links.values() for _ in range(2)
+        ]
+
+    def test_unknown_link_is_a_fair_share_error(self):
+        t = FatTree(4)
+        sim = FluidSimulation(t, StaticEcmpRouter(t), [])
+        known = DirectedSegment(next(iter(t.links)), True)
+        with pytest.raises(FairShareError, match="no capacity entry"):
+            sim._dense_path((known, DirectedSegment(10**6, False)))
 
 
 class TestSingleFlow:

@@ -105,6 +105,17 @@ class TestResultCache:
         # key order in the payload dict must not matter
         assert cache_key("k", {"a": 1, "b": 2}) == cache_key("k", {"b": 2, "a": 1})
 
+    @pytest.mark.parametrize(
+        "value",
+        [{"E.0.0", "A.0.1", "C.1"}, lambda: None],
+        ids=["set", "lambda"],
+    )
+    def test_non_json_payload_is_rejected(self, value):
+        # Stringified, a set's iteration order or a lambda's address would
+        # key the same payload differently in every interpreter.
+        with pytest.raises(TypeError):
+            cache_key("k", {"switches": value})
+
     def test_key_depends_on_engine_rev(self, monkeypatch):
         base = cache_key("k", {"a": 1})
         assert cache_key("k", {"a": 1}, engine_rev=999) != base

@@ -340,6 +340,42 @@ class TestRecoveryService:
         assert service.fleet.heartbeats_recorded == 5
         assert service.fleet.last_seen("sw-0") == 0.0
 
+    def test_one_drain_stamps_fleet_and_owned_heartbeats_at_the_instant(self):
+        # Park the scan so only heartbeats touch the liveness books.
+        net, controller, clock, service = make_stack(
+            config=ServiceConfig(scan_interval=3600.0)
+        )
+        owned = sorted(net.physical_health)[:3]
+        # As if the scan had already dispatched all three.
+        service._handled.update(owned)
+        instant = 0.0042
+        mix = ["sw-0", owned[0], "sw-1", "sw-new", owned[1], "sw-0"]
+
+        async def scenario():
+            await service.start()
+            service.fleet.register_many("sw-", 2)
+            await clock.run_until(instant)
+            for switch in mix:
+                service.submit_heartbeat(Heartbeat(switch, None))
+            await clock.settle()
+            await service.stop()
+
+        asyncio.run(scenario())
+        fleet = service.fleet
+        assert fleet.heartbeats_recorded == 4
+        assert len(fleet) == 3  # sw-new auto-registered
+        for switch in ("sw-0", "sw-1", "sw-new"):
+            assert fleet.last_seen(switch) == instant
+        assert controller._last_heartbeat[owned[0]] == instant
+        assert controller._last_heartbeat[owned[1]] == instant
+        assert controller._last_heartbeat[owned[2]] == 0.0
+        # Heartbeating owned switches are eligible for detection again.
+        assert service._handled == {owned[2]}
+        counters = service.heartbeats.counters
+        assert counters.submitted == counters.dequeued == len(mix)
+        assert counters.rejected == counters.dropped_oldest == 0
+        assert len(service.heartbeats) == 0
+
     def test_metrics_snapshot_is_json_safe_and_consistent(self):
         net, controller, clock, service = make_stack()
         slot = first_slot(net)
@@ -578,7 +614,12 @@ class TestServiceAPI:
                 pass
             return slot, decision
 
-        slot, decision = self.run_with_api(scenario)
+        # Park the boundary scan, as in test_failure_post_drives_a_decision:
+        # nothing heartbeats here, so a scan could fail the posted slot
+        # over (as part of the whole silent fabric) before the report.
+        slot, decision = self.run_with_api(
+            scenario, config=ServiceConfig(scan_interval=3600.0)
+        )
         assert decision["logical"] == slot
         assert decision["outcome"] == "recovered"
         assert "seq" in decision and "latency" in decision

@@ -1,6 +1,7 @@
 """Property tests for :mod:`repro.service.ingest` backpressure.
 
-Two invariants, enforced under arbitrary arrival/drain interleavings:
+Two invariants, enforced under arbitrary interleavings of offers,
+single pops (``get_nowait``) and bulk pops (``drain``):
 
 * the bound holds — a :class:`ProbeQueue` never holds more than
   ``maxsize`` items, whatever the policy does to achieve that;
@@ -29,23 +30,24 @@ from repro.service.ingest import (
     QueueCounters,
 )
 
-# An interleaving is a sequence of producer offers and consumer drains.
+# An interleaving is a sequence of producer offers and consumer pops:
+# one at a time (``get``) or the whole backlog at once (``drain``).
 operations = st.lists(
-    st.sampled_from(["offer", "get"]), min_size=0, max_size=200
+    st.sampled_from(["offer", "get", "drain"]), min_size=0, max_size=200
 )
 bounds = st.integers(min_value=1, max_value=8)
 policies = st.sampled_from(OVERFLOW_POLICIES)
 
 
-def replay(maxsize, policy, ops):
-    """Run one interleaving synchronously; return the queue."""
-    queue = ProbeQueue(maxsize, policy)
-    for index, op in enumerate(ops):
-        if op == "offer":
-            queue.offer(Heartbeat(f"sw-{index}", float(index)))
-        else:
-            queue.get_nowait()
-    return queue
+def apply(queue, index, op):
+    """Run one operation on ``queue``; return the probes it consumed."""
+    if op == "offer":
+        queue.offer(Heartbeat(f"sw-{index}", float(index)))
+        return []
+    if op == "get":
+        probe = queue.get_nowait()
+        return [] if probe is None else [probe]
+    return list(queue.drain())
 
 
 @given(bounds, policies, operations)
@@ -53,17 +55,33 @@ def replay(maxsize, policy, ops):
 def test_bound_never_exceeded(maxsize, policy, ops):
     queue = ProbeQueue(maxsize, policy)
     for index, op in enumerate(ops):
-        if op == "offer":
-            queue.offer(Heartbeat(f"sw-{index}", float(index)))
-        else:
-            queue.get_nowait()
+        apply(queue, index, op)
         assert len(queue) <= maxsize  # after *every* step, not just at the end
 
 
 @given(bounds, policies, operations)
 @settings(max_examples=200, deadline=None)
 def test_counters_conserve_every_probe(maxsize, policy, ops):
-    queue = replay(maxsize, policy, ops)
+    queue = ProbeQueue(maxsize, policy)
+    model = []  # what the queue must hold, oldest first
+    for index, op in enumerate(ops):
+        consumed = apply(queue, index, op)
+        if op == "offer":
+            probe = Heartbeat(f"sw-{index}", float(index))
+            if len(model) < maxsize:
+                model.append(probe)
+            elif policy == "drop-oldest":
+                model = model[1:] + [probe]
+            # else: ``reject`` turned the newcomer away
+        elif op == "get":
+            assert consumed == model[:1]
+            model = model[1:]
+        else:
+            assert consumed == model  # the whole backlog, in FIFO order
+            model = []
+        assert len(queue) == len(model)
+        counters = queue.counters
+        assert counters.submitted == counters.accounted(len(queue))
     counters = queue.counters
     assert counters.submitted == sum(1 for op in ops if op == "offer")
     assert counters.submitted == counters.accounted(len(queue))
@@ -90,6 +108,9 @@ def test_drop_oldest_preserves_the_newest_probes(maxsize, ops):
             alive.append(probe)
             if len(alive) > maxsize:
                 alive.pop(0)
+        elif op == "drain":
+            assert list(queue.drain()) == alive
+            alive = []
         elif alive:
             assert queue.get_nowait() == alive.pop(0)
         else:
@@ -176,7 +197,7 @@ def test_counters_to_dict_round_trip():
 # An interleaving that may also crash: the queue snapshots and restarts,
 # losing whatever was in flight — but never losing the accounting.
 crash_operations = st.lists(
-    st.sampled_from(["offer", "get", "crash"]), min_size=0, max_size=200
+    st.sampled_from(["offer", "get", "drain", "crash"]), min_size=0, max_size=200
 )
 
 
@@ -187,15 +208,14 @@ def test_conservation_survives_crash_restart(maxsize, policy, ops):
     expected_lost = 0
     submitted = 0
     for index, op in enumerate(ops):
-        if op == "offer":
-            queue.offer(Heartbeat(f"sw-{index}", float(index)))
-            submitted += 1
-        elif op == "get":
-            queue.get_nowait()
-        else:  # crash: snapshot the books, restart on an empty queue
+        if op == "crash":  # snapshot the books, restart on an empty queue
             expected_lost += len(queue)
             queue = ProbeQueue.restore(queue.snapshot())
             assert len(queue) == 0  # queued probes are process memory
+        else:
+            apply(queue, index, op)
+            if op == "offer":
+                submitted += 1
         # The law holds after *every* step, crashes included.
         counters = queue.counters
         assert counters.submitted == submitted
