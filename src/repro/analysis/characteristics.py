@@ -23,10 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..routing.ecmp import EcmpSelector
-from ..routing.paths import DirectedSegment, Path
+from ..routing.paths import Path
 from ..routing.router import Router
-from ..simulation.fairshare import max_min_rates
+from ..simulation.fairshare import allocate_dense
 from ..topology.fattree import FatTree
 
 __all__ = ["Characteristics", "PermutationProbe", "divergence_is_upstream"]
@@ -108,7 +107,7 @@ class PermutationProbe:
             for fid, (src, dst) in self.flows.items():
                 self.paths[fid] = self.router.initial_path(src, dst, fid)
             return
-        load: dict[DirectedSegment, int] = {}
+        load: dict[int, int] = {}
         for fid in sorted(self.flows):
             src, dst = self.flows[fid]
             path = self.router.repath(src, dst, fid, None, load)
@@ -120,7 +119,7 @@ class PermutationProbe:
     def repath_broken(self) -> dict[int, tuple[Path, Path, int]]:
         """Repath flows whose pins broke; returns {fid: (old, new, detection)}."""
         self.router.on_topology_change()
-        load: dict[DirectedSegment, int] = {}
+        load: dict[int, int] = {}
         for fid, path in self.paths.items():
             if path is not None and path.is_operational(self.tree):
                 for seg in path.segments(self.tree, fid):
@@ -144,16 +143,12 @@ class PermutationProbe:
 
     def throughput(self) -> float:
         """Aggregate max-min throughput of the currently pinned flows."""
-        capacities: dict[DirectedSegment, float] = {}
-        for link in self.tree.links.values():
-            capacities[DirectedSegment(link.link_id, True)] = link.capacity
-            capacities[DirectedSegment(link.link_id, False)] = link.capacity
-        flow_segments = {
-            fid: path.segments(self.tree, fid)
+        pairs = [
+            (fid, path.segments(self.tree, fid))
             for fid, path in self.paths.items()
             if path is not None and path.is_operational(self.tree)
-        }
-        rates = max_min_rates(flow_segments, capacities)
+        ]
+        rates = allocate_dense(pairs, self.tree.segment_capacities())
         return sum(rates.values())
 
     def _detection_index(self, path: Path) -> int:

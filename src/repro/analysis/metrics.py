@@ -24,6 +24,7 @@ from ..failures.injector import FailureScenario
 from ..routing.ecmp import EcmpSelector
 from ..simulation.engine import SimulationResult
 from ..simulation.flow import CoflowSpec
+from ..topology.base import segment_link
 from ..topology.fattree import FatTree
 
 __all__ = [
@@ -88,7 +89,7 @@ class PinIndex:
                 for node in path.nodes:
                     self.by_node[node].append(flow)
                 for seg in path.segments(tree, spec.flow_id):
-                    self.by_link[seg.link_id].append(flow)
+                    self.by_link[segment_link(seg)].append(flow)
 
     def affected_flows(self, scenario: FailureScenario) -> set[int]:
         """Numbers of the flows whose pins cross a failed node or link."""

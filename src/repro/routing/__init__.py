@@ -8,7 +8,7 @@ replaced) lives in :mod:`repro.core` with the rest of the contribution.
 from .base import LookupMiss, Packet, PrefixEntry, RoutingTable, SuffixEntry
 from .ecmp import EcmpSelector, enumerate_paths, flow_hash, operational_paths
 from .fallback import FallbackRouter
-from .paths import DirectedSegment, Path
+from .paths import Path
 from .reroute_f10 import F10LocalRerouteRouter
 from .reroute_global import GlobalOptimalRerouteRouter
 from .router import LoadMap, Router
@@ -16,7 +16,6 @@ from .static import StaticEcmpRouter
 from .twolevel import TwoLevelRouting, down_port, host_port, pod_port, up_port
 
 __all__ = [
-    "DirectedSegment",
     "EcmpSelector",
     "F10LocalRerouteRouter",
     "FallbackRouter",

@@ -46,7 +46,7 @@ from itertools import repeat
 
 from ..topology.base import NodeKind
 from ..topology.fattree import FatTree
-from .paths import DirectedSegment, Path, hop_segment
+from .paths import Path
 
 __all__ = ["flow_hash", "EcmpSelector", "enumerate_paths", "operational_paths"]
 
@@ -193,8 +193,6 @@ class EcmpSelector:
             _Table(partial(_wired, tree, NodeKind.AGGREGATION)),
             _Table(partial(_wired, tree, NodeKind.CORE)),
         )
-        #: Single-link hops resolve to the same segment for every flow.
-        self._segments: dict[tuple[str, str], DirectedSegment] = {}
         self.invalidate()
 
     def invalidate(self) -> None:
@@ -223,16 +221,6 @@ class EcmpSelector:
         ):
             return None
         return src_edge, dst_edge
-
-    def segment(self, a: str, b: str, hop: int, flow_label: int) -> DirectedSegment:
-        """The segment :meth:`Path.segments` resolves for hop ``hop``
-        (``a → b``) of flow ``flow_label``'s path."""
-        seg = self._segments.get((a, b))
-        if seg is None:
-            seg = hop_segment(self.tree, a, b, hop, flow_label)
-            if len(self.tree.link_ids_between(a, b)) == 1:
-                self._segments[(a, b)] = seg
-        return seg
 
     def paths(
         self, src_host: str, dst_host: str, operational_only: bool = False

@@ -13,8 +13,9 @@ The candidate sets themselves come from the static wiring tables of
 concrete topology's adjacency, so they honour F10's skewed wiring and
 Aspen's reduced parent sets.
 
-Paths also carry their *directed segment* view — the per-direction link
-capacities the fluid simulator allocates bandwidth over.  Directions
+Paths also carry their *directed segment* view — the ids of the
+per-direction link capacities the fluid simulator allocates bandwidth
+over, in :class:`~repro.topology.base.Topology`'s encoding.  Directions
 matter: a full-duplex link congested host-bound may be idle core-bound.
 """
 
@@ -24,36 +25,7 @@ from dataclasses import dataclass
 
 from ..topology.base import Topology
 
-__all__ = ["Path", "DirectedSegment", "hop_segment"]
-
-
-@dataclass(frozen=True, eq=False)
-class DirectedSegment:
-    """One direction of one physical link: the unit of capacity allocation.
-
-    Hash and equality are hand-rolled over the packed integer key: the
-    max-min allocator hashes segments tens of millions of times per
-    trace replay, and the dataclass-generated tuple hash dominated the
-    profile before this.
-    """
-
-    link_id: int
-    #: True when traversing from ``link.a`` to ``link.b``.
-    forward: bool
-
-    def __hash__(self) -> int:
-        return (self.link_id << 1) | self.forward
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DirectedSegment)
-            and self.link_id == other.link_id
-            and self.forward == other.forward
-        )
-
-    def __repr__(self) -> str:
-        arrow = "->" if self.forward else "<-"
-        return f"<seg {self.link_id}{arrow}>"
+__all__ = ["Path", "hop_segment"]
 
 
 @dataclass(frozen=True)
@@ -75,10 +47,8 @@ class Path:
     def dst(self) -> str:
         return self.nodes[-1]
 
-    def segments(
-        self, topo: Topology, flow_label: int = 0
-    ) -> tuple[DirectedSegment, ...]:
-        """Resolve into directed link segments against ``topo``.
+    def segments(self, topo: Topology, flow_label: int = 0) -> tuple[int, ...]:
+        """Resolve into directed segment ids against ``topo``.
 
         Each hop is resolved by :func:`hop_segment`.
         """
@@ -98,10 +68,8 @@ class Path:
         return "Path(" + " > ".join(self.nodes) + ")"
 
 
-def hop_segment(
-    topo: Topology, a: str, b: str, hop: int, flow_label: int = 0
-) -> DirectedSegment:
-    """The directed segment hop number ``hop`` (``a → b``) of a path uses.
+def hop_segment(topo: Topology, a: str, b: str, hop: int, flow_label: int = 0) -> int:
+    """The directed segment id hop number ``hop`` (``a → b``) of a path uses.
 
     Parallel links (Aspen-style duplicated wiring) are load-balanced:
     the operational links of the hop, in id order, are indexed by a hash
@@ -123,4 +91,4 @@ def hop_segment(
             from .ecmp import flow_hash
 
             link_id = operational[flow_hash(flow_label, hop) % len(operational)]
-    return DirectedSegment(link_id, forward=(topo.links[link_id].a == a))
+    return topo.segment(link_id, a)

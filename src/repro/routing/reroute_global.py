@@ -25,10 +25,11 @@ transient dynamics").
 from __future__ import annotations
 
 import zlib
+from functools import partial
 
 from ..topology.fattree import FatTree
 from .ecmp import EcmpSelector
-from .paths import Path
+from .paths import Path, hop_segment
 from .router import LoadMap, Router
 
 __all__ = ["GlobalOptimalRerouteRouter"]
@@ -81,7 +82,7 @@ class GlobalOptimalRerouteRouter(Router):
         src_edge, dst_edge = edges
         if src_edge == dst_edge:
             return Path((src_host, src_edge, dst_host))
-        segment = selector.segment
+        segment = partial(hop_segment, self.tree)
         load = link_load.get
         view = selector.live
         intra = self.tree.nodes[src_edge].pod == self.tree.nodes[dst_edge].pod

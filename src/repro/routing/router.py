@@ -8,7 +8,7 @@ A router decides two things for each flow:
 
 Returning ``None`` marks the flow disconnected; the simulator stalls it
 (rate 0) and asks again after the next topology change.  ``link_load``
-gives the current number of flows on every directed segment so that
+gives the current number of flows on every directed segment id so that
 load-aware policies ("global optimal rerouting" in the paper's failure
 study) can pick the least-loaded alternative.
 """
@@ -18,11 +18,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Mapping
 
-from .paths import DirectedSegment, Path
+from .paths import Path
 
 __all__ = ["Router", "LoadMap"]
 
-LoadMap = Mapping[DirectedSegment, int]
+LoadMap = Mapping[int, int]
 
 
 class Router(ABC):

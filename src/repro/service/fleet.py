@@ -3,12 +3,15 @@
 The controller only knows the physical switches of its ShareBackup
 network — a few dozen for the test topologies.  The SLO benchmark needs
 *tens of thousands* of heartbeat sources, so the service keeps this
-side table: any heartbeat from a switch the controller does not own is
-recorded here instead of raising ``KeyError``.  The registry is pure
-bookkeeping (liveness map + counters); it exists so the ingest path
-under benchmark load does the same per-probe work a real deployment
-would (lookup + timestamp write), not so the fleet participates in
-failover.
+side table for switches the controller does not own.  The registry is
+closed: the load generator registers its fleet up front, a heartbeat
+from a registered switch stamps its last-seen time, and a heartbeat
+from any other name is only counted.  ``POST /heartbeats`` accepts
+arbitrary names from any client, so storing unknown names would let
+the table grow without bound.  The registry is pure bookkeeping
+(liveness map + counters); it exists so the ingest path under benchmark
+load does the same per-probe work a real deployment would (lookup +
+timestamp write), not so the fleet participates in failover.
 """
 
 from __future__ import annotations
@@ -21,7 +24,10 @@ class FleetRegistry:
 
     def __init__(self) -> None:
         self._last_seen: dict[str, float] = {}
+        #: Heartbeats stamped on registered switches.
         self.heartbeats_recorded = 0
+        #: Heartbeats from names never registered: counted, not stored.
+        self.heartbeats_unknown = 0
 
     def __len__(self) -> int:
         return len(self._last_seen)
@@ -41,17 +47,13 @@ class FleetRegistry:
         return names
 
     def record(self, switch: str, now: float) -> None:
-        """A heartbeat arrived (auto-registers unknown switches)."""
-        self._last_seen[switch] = now
-        self.heartbeats_recorded += 1
+        """A heartbeat arrived; one from an unregistered name is only
+        counted."""
+        if switch in self._last_seen:
+            self._last_seen[switch] = now
+            self.heartbeats_recorded += 1
+        else:
+            self.heartbeats_unknown += 1
 
     def last_seen(self, switch: str) -> float | None:
         return self._last_seen.get(switch)
-
-    def silent(self, now: float, deadline: float) -> list[str]:
-        """Fleet members silent for longer than ``deadline`` seconds."""
-        return sorted(
-            switch
-            for switch, seen in self._last_seen.items()
-            if now - seen > deadline
-        )

@@ -245,8 +245,8 @@ class RecoveryService:
         for heartbeat in cast("Iterable[Heartbeat]", chain((first,), rest)):
             switch = heartbeat.switch
             if switch not in owned:
-                # Not a switch the controller owns: a synthetic fleet
-                # member (load generation) — track it service-side.
+                # Not a switch the controller owns: a registered synthetic
+                # fleet member (load generation) or an unknown name.
                 record(switch, now)
                 continue
             self.controller.heartbeat(switch, now)
@@ -456,6 +456,7 @@ class RecoveryService:
             "errors": len(self.errors),
             "detections": len(self.detections),
             "fleet_switches": len(self.fleet),
+            "fleet_unknown_heartbeats": self.fleet.heartbeats_unknown,
             "events_published": self.bus.published,
             "resolver": {
                 "backlog": self.resolver.backlog,

@@ -19,11 +19,12 @@ completion events can exist.
 
 Hot-path design (see ``docs/simulator.md`` for the full story): the
 allocation problem stays resident as numpy arrays
-(:mod:`repro.simulation.columnar`).  Segments are interned to dense
-integer ids once at construction; arrivals append rows to a columnar
-flow table, completions compact them out, topology changes rebuild it,
-and every reallocation is one batched water-fill over the whole padded
-path matrix.  Only flows whose rate actually changed are touched.
+(:mod:`repro.simulation.columnar`).  A path's segments are the
+topology's integer segment ids, which index the engine's capacity
+vector as they are; arrivals append rows to a columnar flow table,
+completions compact them out, topology changes rebuild it, and every
+reallocation is one batched water-fill over the whole padded path
+matrix.  Only flows whose rate actually changed are touched.
 Completions come off a lazy projected-finish min-heap, and per-flow
 ``(updated_at, remaining_bits)`` bookkeeping means a flow's residual is
 only materialised when its rate changes — there is no per-event sweep
@@ -48,12 +49,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..routing.paths import DirectedSegment
 from ..routing.router import Router
 from ..topology.base import Topology
 from .columnar import ColumnarWorkspace, FlowTable, waterfill
 from .events import EventQueue, SimClock
-from .fairshare import AllocatorWorkspace, FairShareError, allocate_dense
+from .fairshare import AllocatorWorkspace, allocate_dense
 from .flow import CoflowSpec, FlowPhase, FlowSpec, FlowState
 
 __all__ = [
@@ -68,7 +68,7 @@ __all__ = [
 #: Revision of the engine/allocator implementation.  Bump whenever the
 #: (trace → results) map can change — the runner's content-addressed
 #: cache folds this into every key (see :mod:`repro.runner.cache`).
-ENGINE_REV = 3
+ENGINE_REV = 4
 
 #: Allocator mode used when :class:`FluidSimulation` is not told one.
 #: "vectorized" solves the full problem as one batched numpy water-fill
@@ -201,22 +201,14 @@ class FluidSimulation:
         self._coflow_pending: dict[int, int] = {}
         self._coflow_spec: dict[int, CoflowSpec] = {}
         self._initial_hops: dict[int, Optional[int]] = {}
-        # Static interning: link i's two directions are dense segment ids
-        # 2i (forward) and 2i + 1, so the hot path never hashes a
-        # DirectedSegment and set-up never builds one.
-        links = list(topo.links.values())
-        self._link_pos: dict[int, int] = {
-            link.link_id: pos for pos, link in enumerate(links)
-        }
-        self._caps_dense: list[float] = [
-            cap for link in links for cap in (link.capacity, link.capacity)
-        ]
+        #: Capacity per directed segment id; flows' segments index it.
+        self._caps = topo.segment_capacities()
         if self.allocator == "oracle":
-            self._alloc_ws = AllocatorWorkspace(len(self._caps_dense))
+            self._alloc_ws = AllocatorWorkspace(len(self._caps))
         else:
-            self._table = FlowTable(len(self._caps_dense))
-            self._columnar_ws = ColumnarWorkspace(len(self._caps_dense))
-            self._caps_arr = np.asarray(self._caps_dense, dtype=np.float64)
+            self._table = FlowTable(len(self._caps))
+            self._columnar_ws = ColumnarWorkspace(len(self._caps))
+            self._caps_arr = np.asarray(self._caps, dtype=np.float64)
         #: Vectorized mode: the flow table no longer reflects the active
         #: set (paths or stall states changed) and must be rebuilt.
         self._table_stale = True
@@ -344,11 +336,9 @@ class FluidSimulation:
             )
             self._next_seq += 1
             if path is not None:
-                segments = path.segments(self.topo, spec.flow_id)
-                state.assign_path(path, segments)
-                state.ipath = self._dense_path(segments)
+                state.assign_path(path, path.segments(self.topo, spec.flow_id))
                 self._initial_hops[spec.flow_id] = path.hops
-                if not path.is_operational(self.topo):
+                if not self.topo.segments_operational(state.segments):
                     state.begin_stall(now)
             else:
                 self._initial_hops[spec.flow_id] = None
@@ -370,18 +360,24 @@ class FluidSimulation:
     def _repath_flows(self) -> None:
         """Give every broken or stalled flow a chance at a new path.
 
+        A flow is intact while every link its segments name is
+        operational.  The node path is not enough: on a hop with
+        parallel links (Aspen) a flow pinned to the failed twin must
+        move even though the hop itself still has a live link.
+
         Full sweep by design: a topology change can strand *any* flow,
         so this is a sanctioned O(active) site (PERF001) — it runs only
         on topology changes, never on the per-event hot path.
         """
         self._table_stale = True
         now = self.clock.now
+        topo = self.topo
         # Current load per segment from flows whose paths are intact.
-        load: dict[DirectedSegment, int] = {}
+        load: dict[int, int] = {}
         broken: list[FlowState] = []
         for fid in sorted(self.active):
             state = self.active[fid]
-            if state.path is not None and state.path.is_operational(self.topo):
+            if state.path is not None and topo.segments_operational(state.segments):
                 if state.phase is FlowPhase.STALLED:
                     # A repair brought the stalled flow's pinned path back.
                     state.end_stall(now)
@@ -396,19 +392,19 @@ class FluidSimulation:
             new_path = self.router.repath(
                 spec.src, spec.dst, spec.flow_id, state.path, load
             )
-            if new_path is not None and new_path.is_operational(self.topo):
-                segments = new_path.segments(self.topo, spec.flow_id)
-                if state.last_nodes is not None and new_path.nodes != state.last_nodes:
-                    state.reroutes += 1
-                state.assign_path(new_path, segments)
-                state.ipath = self._dense_path(segments)
-                state.end_stall(now)
-                for seg in segments:
-                    load[seg] = load.get(seg, 0) + 1
-            else:
-                state.assign_path(None, ())
-                state.ipath = ()
-                state.begin_stall(now)
+            if new_path is not None:
+                segments = new_path.segments(topo, spec.flow_id)
+                if topo.segments_operational(segments):
+                    last = state.last_nodes
+                    if last is not None and new_path.nodes != last:
+                        state.reroutes += 1
+                    state.assign_path(new_path, segments)
+                    state.end_stall(now)
+                    for seg in segments:
+                        load[seg] = load.get(seg, 0) + 1
+                    continue
+            state.assign_path(None, ())
+            state.begin_stall(now)
 
     # ------------------------------------------------------------------
     # fluid progression
@@ -418,17 +414,6 @@ class FluidSimulation:
         """Record that ``fid``'s allocation inputs changed (arrival,
         completion, re-path, stall or resume) since the last solve."""
         self._dirty[fid] = None
-
-    def _dense_path(self, segments: tuple[DirectedSegment, ...]) -> tuple[int, ...]:
-        link_pos = self._link_pos
-        try:
-            return tuple(
-                2 * link_pos[s.link_id] + (not s.forward) for s in segments
-            )
-        except KeyError as exc:
-            raise FairShareError(
-                f"link {exc.args[0]!r} has no capacity entry"
-            ) from None
 
     def _reallocate(self) -> None:
         if self.allocator == "oracle":
@@ -448,11 +433,11 @@ class FluidSimulation:
         now = self.clock.now
         self._dirty.clear()
         pairs = [
-            (fid, state.ipath)
+            (fid, state.segments)
             for fid, state in self.active.items()
-            if state.phase is FlowPhase.ACTIVE and state.ipath
+            if state.phase is FlowPhase.ACTIVE and state.segments
         ]
-        rates = allocate_dense(pairs, self._caps_dense, self._alloc_ws)
+        rates = allocate_dense(pairs, self._caps, self._alloc_ws)
         for fid, state in self.active.items():
             self._apply_rate(state, rates.get(fid, 0.0), now)
 
@@ -482,10 +467,10 @@ class FluidSimulation:
                 if (
                     state is not None
                     and state.phase is FlowPhase.ACTIVE
-                    and state.ipath
+                    and state.segments
                 ):
                     if fid not in table:
-                        added.append((state.seq, fid, state.ipath))
+                        added.append((state.seq, fid, state.segments))
                 elif fid in table:
                     gone.append(fid)
             self._dirty.clear()
@@ -532,9 +517,9 @@ class FluidSimulation:
         self._dirty.clear()
         active = self.active
         entries = [
-            (fid, state.ipath, state.rate)
+            (fid, state.segments, state.rate)
             for fid, state in active.items()
-            if state.phase is FlowPhase.ACTIVE and state.ipath
+            if state.phase is FlowPhase.ACTIVE and state.segments
         ]
         entries.sort(key=lambda e: active[e[0]].seq)
         self._table.rebuild(entries)

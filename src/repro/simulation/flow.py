@@ -13,11 +13,11 @@ Specs are immutable inputs (what the workload generator emits); the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from ..routing.paths import DirectedSegment, Path
+from ..routing.paths import Path
 
 __all__ = ["FlowSpec", "CoflowSpec", "FlowPhase", "FlowState"]
 
@@ -94,7 +94,13 @@ class FlowState:
     remaining_bits: float
     phase: FlowPhase = FlowPhase.ACTIVE
     path: Optional[Path] = None
-    segments: tuple[DirectedSegment, ...] = ()
+    #: ``path`` as directed segment ids (the topology's encoding), which
+    #: index the engine's capacity vector directly; the vectorized
+    #: backend's :class:`~repro.simulation.columnar.FlowTable` packs
+    #: exactly these ids into its segment matrix.  ``rate`` is likewise
+    #: mirrored by the table's ``installed`` column, updated in the same
+    #: reallocation step that settles this state.
+    segments: tuple[int, ...] = ()
     rate: float = 0.0  # bits/s, piecewise constant between events
     finish: Optional[float] = None
     reroutes: int = 0
@@ -109,17 +115,9 @@ class FlowState:
     #: Generation counter for projected-finish heap entries: bumped on
     #: every rate change, so stale heap entries identify themselves.
     gen: int = 0
-    #: Path as dense engine-interned segment ids (mirrors ``segments``).
-    #: The vectorized backend's :class:`~repro.simulation.columnar.FlowTable`
-    #: packs exactly these ids into its segment matrix; ``rate`` is
-    #: likewise mirrored by the table's ``installed`` column, updated in
-    #: the same reallocation step that settles this state.
-    ipath: tuple[int, ...] = ()
     _stall_began: Optional[float] = None
 
-    def assign_path(
-        self, path: Optional[Path], segments: tuple[DirectedSegment, ...]
-    ) -> None:
+    def assign_path(self, path: Optional[Path], segments: tuple[int, ...]) -> None:
         self.path = path
         self.segments = segments if path is not None else ()
         if path is not None:

@@ -8,6 +8,10 @@ implementation; experiments use it to report offered load, bottleneck
 hot spots, and concurrency (the quantity that bounds CCT slowdowns under
 max-min sharing — see EXPERIMENTS.md's Figure 1(c) discussion).
 
+``flow_segments`` maps every active flow to its directed segment ids,
+in the topology's encoding (:meth:`repro.topology.base.Topology.segment`),
+so the hottest segment is reported as an id too.
+
 The callback stream is part of the allocator backends' bit-identity
 contract: the vectorized engine and the oracle must hand every monitor
 the same ``(now, flow_segments, rates)`` sequence, floats and all
@@ -19,10 +23,10 @@ backend-independent.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
-from ..routing.paths import DirectedSegment
+from ..topology.base import segment_link
 
 __all__ = ["SimMonitor", "UtilizationMonitor", "UtilizationReport"]
 
@@ -33,7 +37,7 @@ class SimMonitor(Protocol):
     def on_reallocate(
         self,
         now: float,
-        flow_segments: Mapping[int, tuple[DirectedSegment, ...]],
+        flow_segments: Mapping[int, tuple[int, ...]],
         rates: Mapping[int, float],
     ) -> None: ...
 
@@ -44,7 +48,8 @@ class UtilizationReport:
 
     peak_concurrent_flows: int
     peak_segment_flows: int
-    peak_segment: DirectedSegment | None
+    #: Directed segment id carrying the most flows (ties: highest link).
+    peak_segment: int | None
     mean_throughput: float  # time-weighted aggregate bits/s
     peak_throughput: float
     busy_time: float  # span between first and last reallocation
@@ -60,7 +65,7 @@ class UtilizationMonitor:
         self._start: float | None = None
         self.peak_concurrent_flows = 0
         self.peak_segment_flows = 0
-        self.peak_segment: DirectedSegment | None = None
+        self.peak_segment: int | None = None
         self.peak_throughput = 0.0
 
     # ------------------------------------------------------------------
@@ -79,12 +84,14 @@ class UtilizationMonitor:
         self.peak_concurrent_flows = max(
             self.peak_concurrent_flows, len(flow_segments)
         )
-        counts: dict[DirectedSegment, int] = {}
+        counts: dict[int, int] = {}
         for segments in flow_segments.values():
             for seg in segments:
                 counts[seg] = counts.get(seg, 0) + 1
         if counts:
-            seg, count = max(counts.items(), key=lambda kv: (kv[1], kv[0].link_id))
+            seg, count = max(
+                counts.items(), key=lambda kv: (kv[1], segment_link(kv[0]))
+            )
             if count > self.peak_segment_flows:
                 self.peak_segment_flows = count
                 self.peak_segment = seg

@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..routing.paths import DirectedSegment, Path
+from ..routing.paths import Path
 from ..topology.base import Topology
 
 __all__ = ["PacketFlow", "PacketLevelSimulator"]
@@ -48,7 +48,7 @@ class PacketFlow:
 @dataclass
 class _FlowState:
     spec: PacketFlow
-    segments: tuple[DirectedSegment, ...]
+    segments: tuple[int, ...]
     #: per-hop queues: queues[i] buffers packets awaiting segment i's link
     queues: list[deque] = field(default_factory=list)
     delivered: int = 0
@@ -68,10 +68,10 @@ class PacketLevelSimulator:
         self.topo = topo
         self.queue_capacity = queue_capacity
         self.flows: dict[int, _FlowState] = {}
-        #: directed segment -> flow ids crossing it, in round-robin order
-        self._seg_flows: dict[DirectedSegment, list[int]] = {}
+        #: directed segment id -> flow ids crossing it, in round-robin order
+        self._seg_flows: dict[int, list[int]] = {}
         #: round-robin cursor per segment
-        self._cursor: dict[DirectedSegment, int] = {}
+        self._cursor: dict[int, int] = {}
         for flow in flows:
             segments = flow.path.segments(topo, flow.flow_id)
             state = _FlowState(
@@ -88,7 +88,7 @@ class PacketLevelSimulator:
 
     # ------------------------------------------------------------------
 
-    def _hop_index(self, state: _FlowState, seg: DirectedSegment) -> int:
+    def _hop_index(self, state: _FlowState, seg: int) -> int:
         return state.segments.index(seg)
 
     def _can_forward(self, state: _FlowState, hop: int) -> bool:

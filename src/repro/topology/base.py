@@ -8,6 +8,12 @@ wrapper over ``networkx``:
 * links are first-class objects with identity, capacity, and an up/down
   state (parallel links between the same pair of nodes are allowed, which
   Aspen-style duplicated wiring needs);
+* each direction of a link is a *directed segment*, the unit of capacity
+  allocation, named by the integer ``2 × link_id`` (``a → b``) or
+  ``2 × link_id + 1`` (``b → a``).  Routing, the fluid engine and the
+  analyses all carry these ids; this module is the only code that
+  builds them (:meth:`Topology.segment`) or reads them
+  (:func:`segment_link`, :meth:`Topology.segments_operational`);
 * nodes carry a *kind* (host, edge, aggregation, core, circuit switch)
   plus structural coordinates (pod, in-pod index, level) that the
   structured routing code relies on;
@@ -40,6 +46,7 @@ __all__ = [
     "Topology",
     "TopologyError",
     "DEFAULT_LINK_CAPACITY",
+    "segment_link",
 ]
 
 #: Default link capacity in bits per second (10 Gbps, the paper's link speed).
@@ -48,6 +55,12 @@ DEFAULT_LINK_CAPACITY: float = 10e9
 
 class TopologyError(Exception):
     """Raised on malformed topology operations (duplicate nodes, bad links)."""
+
+
+def segment_link(segment: int) -> int:
+    """The id of the link a directed segment id names (see
+    :meth:`Topology.segment`)."""
+    return segment >> 1
 
 
 class NodeKind(Enum):
@@ -361,6 +374,42 @@ class Topology:
             link.up = True
 
     # ------------------------------------------------------------------
+    # directed segments
+    # ------------------------------------------------------------------
+
+    @property
+    def segment_count(self) -> int:
+        """Size of the segment id space: two ids per link id up to the
+        largest (the ids of removed links stay unused)."""
+        # Link ids only grow, so the last link has the largest id.
+        return 2 * (next(reversed(self.links), -1) + 1)
+
+    def segment(self, link_id: int, src: str) -> int:
+        """The id of the direction of link ``link_id`` that leaves
+        ``src``: ``2 * link_id`` from ``link.a`` to ``link.b``, one more
+        back."""
+        return 2 * link_id + (self.links[link_id].a != src)
+
+    def segment_capacities(self) -> list[float]:
+        """Capacity per segment id; the ids of removed links get 0.0."""
+        capacities = [0.0] * self.segment_count
+        for link in self.links.values():
+            capacities[2 * link.link_id] = link.capacity
+            capacities[2 * link.link_id + 1] = link.capacity
+        return capacities
+
+    def segments_operational(self, segments: Iterable[int]) -> bool:
+        """True when every link ``segments`` names is operational."""
+        # link_is_operational, inlined: the engine asks this of every
+        # active flow on each topology change.
+        links, nodes = self.links, self.nodes
+        for segment in segments:
+            link = links[segment_link(segment)]
+            if not (link.up and nodes[link.a].up and nodes[link.b].up):
+                return False
+        return True
+
+    # ------------------------------------------------------------------
     # interop & utilities
     # ------------------------------------------------------------------
 
@@ -379,26 +428,6 @@ class Topology:
             if link.a in graph and link.b in graph:
                 graph.add_edge(link.a, link.b, key=link.link_id, capacity=link.capacity)
         return graph
-
-    def path_links(self, node_path: Iterable[str]) -> list[Link]:
-        """Resolve a node sequence into concrete links.
-
-        When parallel links exist, the first operational one is used; if
-        none is operational the first link is returned (the caller decides
-        how to treat a dead path).
-        """
-        nodes = list(node_path)
-        links: list[Link] = []
-        for a, b in zip(nodes, nodes[1:]):
-            candidates = self.links_between(a, b)
-            if not candidates:
-                raise TopologyError(f"no link between {a!r} and {b!r}")
-            chosen = next(
-                (l for l in candidates if self.link_is_operational(l.link_id)),
-                candidates[0],
-            )
-            links.append(chosen)
-        return links
 
     def path_is_operational(self, node_path: Iterable[str]) -> bool:
         """True when every hop of ``node_path`` has an operational link."""

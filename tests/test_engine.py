@@ -5,10 +5,10 @@ import pytest
 from repro.routing import (
     F10LocalRerouteRouter,
     GlobalOptimalRerouteRouter,
+    Path,
     StaticEcmpRouter,
 )
-from repro.routing.paths import DirectedSegment
-from repro.simulation import CoflowSpec, FairShareError, FlowSpec, FluidSimulation
+from repro.simulation import CoflowSpec, FlowSpec, FluidSimulation
 from repro.topology import FatTree
 
 GBIT = 1.25e8  # bytes in one Gbit
@@ -47,24 +47,17 @@ class TestSegmentInterning:
         for index, link in enumerate(t.links.values()):
             link.capacity = float(index + 1)  # distinct: a wrong id shows
         sim = FluidSimulation(t, StaticEcmpRouter(t), [])
-        segments = tuple(
-            DirectedSegment(link.link_id, forward)
-            for link in t.links.values()
-            for forward in (True, False)
-        )
-        ids = sim._dense_path(segments)
-        # Link i's forward direction is id 2i and its reverse 2i + 1.
-        assert ids == tuple(range(2 * len(t.links)))
-        assert [sim._caps_dense[i] for i in ids] == [
-            link.capacity for link in t.links.values() for _ in range(2)
-        ]
+        for link in t.links.values():
+            # Link i's a -> b direction is segment 2i and b -> a is 2i + 1.
+            forward = Path((link.a, link.b)).segments(t)
+            backward = Path((link.b, link.a)).segments(t)
+            assert (forward, backward) == ((2 * link.link_id,), (2 * link.link_id + 1,))
+            assert sim._caps[forward[0]] == sim._caps[backward[0]] == link.capacity
 
-    def test_unknown_link_is_a_fair_share_error(self):
+    def test_hop_without_a_link_is_an_error(self):
         t = FatTree(4)
-        sim = FluidSimulation(t, StaticEcmpRouter(t), [])
-        known = DirectedSegment(next(iter(t.links)), True)
-        with pytest.raises(FairShareError, match="no capacity entry"):
-            sim._dense_path((known, DirectedSegment(10**6, False)))
+        with pytest.raises(ValueError, match="has no link"):
+            Path(("H.0.0.0", "H.1.0.0")).segments(t)
 
 
 class TestSingleFlow:

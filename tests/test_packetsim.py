@@ -9,7 +9,6 @@ matches the progressive-filling max-min allocation within a few percent.
 import pytest
 
 from repro.routing import Path
-from repro.routing.paths import DirectedSegment
 from repro.simulation import max_min_rates
 from repro.simulation.packetsim import PacketFlow, PacketLevelSimulator
 from repro.topology import FatTree, Node, NodeKind, Topology
@@ -34,10 +33,7 @@ def chain(n_links: int) -> Topology:
 
 
 def fluid_rates(topo, flows):
-    capacities = {}
-    for link in topo.links.values():
-        capacities[DirectedSegment(link.link_id, True)] = 1.0
-        capacities[DirectedSegment(link.link_id, False)] = 1.0
+    capacities = dict.fromkeys(range(topo.segment_count), 1.0)
     segments = {
         f.flow_id: f.path.segments(topo, f.flow_id) for f in flows
     }

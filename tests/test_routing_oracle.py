@@ -32,7 +32,6 @@ from repro.routing import (
     Path,
     flow_hash,
 )
-from repro.routing.paths import DirectedSegment
 from repro.simulation.flow import CoflowSpec, FlowSpec
 from repro.topology import AspenTree, F10Tree, FatTree, NodeKind
 
@@ -109,7 +108,7 @@ def oracle_select(tree, src: str, dst: str, label: int, operational_only: bool):
     return paths[flow_hash(src, dst, label) % len(paths)]
 
 
-def oracle_segments(tree, path: Path, label: int) -> tuple[DirectedSegment, ...]:
+def oracle_segments(tree, path: Path, label: int) -> tuple[int, ...]:
     segs = []
     for hop, (a, b) in enumerate(zip(path.nodes, path.nodes[1:])):
         candidates = sorted(tree.links_between(a, b), key=lambda link: link.link_id)
@@ -120,7 +119,7 @@ def oracle_segments(tree, path: Path, label: int) -> tuple[DirectedSegment, ...]
             link = operational[0]
         else:
             link = operational[flow_hash(label, hop) % len(operational)]
-        segs.append(DirectedSegment(link.link_id, forward=(link.a == a)))
+        segs.append(2 * link.link_id + (0 if link.a == a else 1))
     return tuple(segs)
 
 
@@ -146,7 +145,7 @@ def oracle_affected(tree, trace, scenario) -> tuple[int, list[int]]:
             if path is None:
                 continue
             if failed_nodes.intersection(path.nodes) or any(
-                seg.link_id in failed_links
+                seg // 2 in failed_links
                 for seg in oracle_segments(tree, path, spec.flow_id)
             ):
                 flows += 1
@@ -211,7 +210,7 @@ def _host_pairs(tree, rng: random.Random, count: int) -> list[tuple[str, str]]:
 def _random_load(tree, candidates: list[Path], label: int, rng: random.Random):
     """Small loads on a random share of the candidates' segments, so the
     minimum is sometimes unique and sometimes widely tied."""
-    load: dict[DirectedSegment, int] = {}
+    load: dict[int, int] = {}
     for path in candidates:
         for seg in oracle_segments(tree, path, label):
             if rng.random() < 0.3:

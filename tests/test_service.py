@@ -336,9 +336,11 @@ class TestRecoveryService:
             await service.stop()
 
         asyncio.run(scenario())
-        assert len(service.fleet) == 5  # record() auto-registers
-        assert service.fleet.heartbeats_recorded == 5
+        assert len(service.fleet) == 4  # the registry is closed
+        assert service.fleet.heartbeats_recorded == 4
+        assert service.fleet.heartbeats_unknown == 1
         assert service.fleet.last_seen("sw-0") == 0.0
+        assert service.fleet.last_seen("sw-unregistered") is None
 
     def test_one_drain_stamps_fleet_and_owned_heartbeats_at_the_instant(self):
         # Park the scan so only heartbeats touch the liveness books.
@@ -362,10 +364,12 @@ class TestRecoveryService:
 
         asyncio.run(scenario())
         fleet = service.fleet
-        assert fleet.heartbeats_recorded == 4
-        assert len(fleet) == 3  # sw-new auto-registered
-        for switch in ("sw-0", "sw-1", "sw-new"):
+        assert fleet.heartbeats_recorded == 3
+        assert fleet.heartbeats_unknown == 1  # sw-new is counted, not stored
+        assert len(fleet) == 2
+        for switch in ("sw-0", "sw-1"):
             assert fleet.last_seen(switch) == instant
+        assert fleet.last_seen("sw-new") is None
         assert controller._last_heartbeat[owned[0]] == instant
         assert controller._last_heartbeat[owned[1]] == instant
         assert controller._last_heartbeat[owned[2]] == 0.0
@@ -517,6 +521,7 @@ class TestServiceAPI:
 
     def test_heartbeat_post_accepts_batches(self):
         async def scenario(net, service, api):
+            service.fleet.register_many("sw-", 4)
             status, body = await http_request(
                 api.host, api.port, "POST", "/heartbeats",
                 {"switches": ["sw-0", "sw-1", "sw-2"]},
@@ -533,6 +538,27 @@ class TestServiceAPI:
         assert status == 202
         assert body == {"accepted": 3, "submitted": 3}
         assert sstatus == 202
+
+    def test_unknown_heartbeat_names_are_counted_not_stored(self):
+        async def scenario(net, service, api):
+            fleet = service.fleet
+            fleet.register_many("sw-", 2)
+            junk = [f"junk-{index}" for index in range(100)]
+            await http_request(
+                api.host, api.port, "POST", "/heartbeats",
+                {"switches": [*junk, "sw-0"]},
+            )
+            while fleet.heartbeats_recorded + fleet.heartbeats_unknown < 101:
+                await asyncio.sleep(0.001)
+            return await http_request(api.host, api.port, "GET", "/metrics")
+
+        # Park the boundary scan: the owned switches never heartbeat here.
+        status, metrics = self.run_with_api(
+            scenario, config=ServiceConfig(scan_interval=3600.0)
+        )
+        assert status == 200
+        assert metrics["fleet_switches"] == 2
+        assert metrics["fleet_unknown_heartbeats"] == 100
 
     def test_backpressure_surfaces_as_429(self):
         # An unstarted service never drains, so the reject policy and

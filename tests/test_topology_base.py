@@ -3,6 +3,7 @@
 import pytest
 
 from repro.topology import Level, Link, Node, NodeKind, Topology, TopologyError
+from repro.topology.base import segment_link
 
 
 def tiny() -> Topology:
@@ -105,16 +106,6 @@ class TestAccessors:
         assert len(t.nodes_of_kind(NodeKind.EDGE)) == 2
         assert len(t.nodes_of_kind(NodeKind.EDGE, include_backup=False)) == 1
 
-    def test_path_links_resolution(self):
-        t = tiny()
-        links = t.path_links(["h1", "e1", "h2"])
-        assert len(links) == 2
-
-    def test_path_links_missing_hop(self):
-        t = tiny()
-        with pytest.raises(TopologyError):
-            t.path_links(["h1", "h2"])
-
 
 class TestFailureState:
     def test_fail_restore_node(self):
@@ -185,6 +176,29 @@ class TestFailureState:
         assert t.path_is_operational(["h1", "e1", "h2"])
         t.fail_node("e1")
         assert not t.path_is_operational(["h1", "e1", "h2"])
+
+
+class TestSegments:
+    def test_ids_and_capacities(self):
+        t = tiny()
+        extra = t.add_link("h1", "e1", capacity=5.0)  # parallel, link id 2
+        t.remove_link(t.links_between("h2", "e1")[0].link_id)  # frees 2 and 3
+        assert t.segment_count == 6
+        assert t.segment(extra.link_id, "h1") == 4  # h1 is the link's a end
+        assert t.segment(extra.link_id, "e1") == 5
+        assert segment_link(5) == extra.link_id
+        assert t.segment_capacities() == [10e9, 10e9, 0.0, 0.0, 5.0, 5.0]
+
+    def test_segments_operational_reads_each_link(self):
+        t = tiny()
+        extra = t.add_link("h1", "e1")
+        first = t.links_between("h1", "e1")[0]
+        t.fail_link(first.link_id)
+        assert not t.segments_operational([t.segment(first.link_id, "h1")])
+        assert t.segments_operational([t.segment(extra.link_id, "h1")])
+        t.fail_node("e1")
+        assert not t.segments_operational([t.segment(extra.link_id, "h1")])
+        assert t.segments_operational([])
 
 
 class TestInterop:
